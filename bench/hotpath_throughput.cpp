@@ -84,12 +84,12 @@ struct Result {
     bool has_hw_rates = false;
 };
 
-/** End-to-end sweep wall clock, cold vs checkpoint-forked + threaded. */
+/** End-to-end sweep wall clock, cold vs checkpoint-forked. */
 struct SweepWallclock {
     std::string sweep = "fig17-smoke";
     unsigned jobs = 0;         ///< jobs per sweep pass
-    double cold_seconds = 0.0; ///< serial lab, cold warmups, Legacy
-    double ckpt_seconds = 0.0; ///< checkpoint forking + in-run threads
+    double cold_seconds = 0.0; ///< serial lab, cold warmups
+    double ckpt_seconds = 0.0; ///< with warm-checkpoint forking
     double speedup = 0.0;      ///< cold_seconds / ckpt_seconds
 };
 
@@ -198,10 +198,10 @@ measure(const Job& job, const std::string& config,
 
 /**
  * Wall-clock the fig17-shaped smoke sweep twice: once the pre-PR-7 way
- * (serial lab, every job pays its own warmup, Legacy execution), once
- * the resumable-epoch way (jobs sharing a (config, workload, warmup)
- * prefix fork from one memoized warm checkpoint, and mixes measure in
- * Sharded mode with one worker thread per core). The three measurement
+ * (serial lab, every job pays its own warmup), once the resumable-epoch
+ * way (jobs sharing a (config, workload, warmup) prefix fork from one
+ * memoized warm checkpoint). Both passes measure on the same serial
+ * multi-core engine. The three measurement
  * windows per (mix, prefetcher) pair are what a scaling study actually
  * runs — and exactly the shape whose warmups the checkpoint store
  * collapses from three to one.

@@ -41,7 +41,7 @@ namespace triage::cache {
 /**
  * Per-line bookkeeping, only read or written on a hit or insert (never
  * by the tag scan). This is the *value type* handed across the cache
- * API (peek(), shard overlays); internally SetAssocCache stores the
+ * API (peek()); internally SetAssocCache stores the
  * frequently-touched fields packed one 64-bit word per line (see
  * `hot_`), with the rarely-read prefetch-owner pointer in a parallel
  * cold array, so a 16-way set's hot state spans two host cache lines

@@ -1,7 +1,6 @@
 #include "cache/hierarchy.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "obs/event_trace.hpp"
 #include "obs/lifecycle.hpp"
@@ -224,20 +223,9 @@ MemorySystem::fetch_into_l2(unsigned core, sim::Pc pc, sim::Addr block,
 {
     PerCore& pcs = cores_[core];
     sim::Cycle completion;
-    Shard* sh = sharded_ ? shards_[core].get() : nullptr;
 
     // LLC probe.
-    LookupResult r3;
-    if (sh != nullptr) {
-        r3 = shard_llc_access(*sh, block, now, is_prefetch);
-        sh->ops.push_back({.kind = ShardOp::Kind::LlcAccess,
-                           .flag1 = is_prefetch,
-                           .block = block,
-                           .pc = pc,
-                           .t0 = now});
-    } else {
-        r3 = llc_->access(block, pc, now, false, is_prefetch);
-    }
+    LookupResult r3 = llc_->access(block, pc, now, false, is_prefetch);
     if (r3.hit) {
         completion = std::max(now + llc_latency(), r3.ready_time);
         if (outcome != nullptr)
@@ -255,19 +243,7 @@ MemorySystem::fetch_into_l2(unsigned core, sim::Pc pc, sim::Addr block,
                     return 0;
                 }
             }
-            if (sh != nullptr) {
-                completion = sh->dram.prefetch_read(block, issue);
-                // A drop never happened from this core's view, so it is
-                // not replayed either.
-                if (completion != 0) {
-                    sh->ops.push_back(
-                        {.kind = ShardOp::Kind::DramPrefetch,
-                         .block = block,
-                         .t0 = issue});
-                }
-            } else {
-                completion = dram_.prefetch_read(block, issue);
-            }
+            completion = dram_.prefetch_read(block, issue);
             if (completion == 0) {
                 if (outcome != nullptr)
                     *outcome = prefetch::PfOutcome::DroppedBandwidth;
@@ -277,36 +253,14 @@ MemorySystem::fetch_into_l2(unsigned core, sim::Pc pc, sim::Addr block,
                 pcs.mshrs.insert(completion);
         } else {
             issue = claim_mshr(pcs, issue, issue + cfg_.dram_latency);
-            if (sh != nullptr) {
-                completion = sh->dram.demand_read(block, issue);
-                sh->ops.push_back({.kind = ShardOp::Kind::DramDemand,
-                                   .block = block,
-                                   .t0 = issue});
-            } else {
-                completion = dram_.demand_read(block, issue);
-            }
+            completion = dram_.demand_read(block, issue);
         }
         if (outcome != nullptr)
             *outcome = prefetch::PfOutcome::IssuedToDram;
-        if (sh != nullptr) {
-            // Mirror insert() for this core's view; the canonical fill
-            // (and its eviction + writeback) happens at replay.
-            sh->overlay.ref(block) = LineState{
-                false, is_prefetch, completion,
-                is_prefetch ? owner : nullptr};
-            sh->ops.push_back({.kind = ShardOp::Kind::LlcInsert,
-                               .flag1 = is_prefetch,
-                               .block = block,
-                               .pc = pc,
-                               .t0 = completion,
-                               .t1 = now,
-                               .owner = owner});
-        } else {
-            Eviction ev = llc_->insert(block, pc, completion, false,
-                                       is_prefetch, owner);
-            if (ev.valid && ev.dirty)
-                dram_.writeback(ev.block, now);
-        }
+        Eviction ev = llc_->insert(block, pc, completion, false,
+                                   is_prefetch, owner);
+        if (ev.valid && ev.dirty)
+            dram_.writeback(ev.block, now);
     }
 
     Eviction e2 = pcs.l2->insert(block, pc, completion, false, is_prefetch,
@@ -326,20 +280,6 @@ void
 MemorySystem::writeback_to_llc(unsigned core, sim::Addr block,
                                sim::Cycle now)
 {
-    if (sharded_) {
-        // Log the writeback (the replay re-runs this function against
-        // the real LLC) and mirror its effect on this core's overlay.
-        Shard& sh = *shards_[core];
-        sh.ops.push_back({.kind = ShardOp::Kind::Writeback,
-                          .block = block,
-                          .t0 = now});
-        if (LineState* st = shard_line(sh, block)) {
-            st->dirty = true;
-            return;
-        }
-        sh.overlay.ref(block) = LineState{true, false, now, nullptr};
-        return;
-    }
     (void)core;
     if (llc_->mark_dirty(block))
         return;
@@ -413,15 +353,6 @@ MemorySystem::offchip_metadata_access(unsigned core, sim::Cycle now,
 {
     cores_[core].energy.offchip_accesses +=
         (bytes + sim::BLOCK_SIZE - 1) / sim::BLOCK_SIZE;
-    if (sharded_) {
-        Shard& sh = *shards_[core];
-        sh.ops.push_back({.kind = ShardOp::Kind::Metadata,
-                          .flag0 = is_write,
-                          .flag1 = charge_time,
-                          .bytes = bytes,
-                          .t0 = now});
-        return sh.dram.metadata_access(now, bytes, is_write, charge_time);
-    }
     return dram_.metadata_access(now, bytes, is_write, charge_time);
 }
 
@@ -429,19 +360,6 @@ void
 MemorySystem::request_metadata_capacity(unsigned core, std::uint64_t bytes,
                                         sim::Cycle now)
 {
-    if (sharded_) {
-        // Partition changes move LLC ways (flush-on-shrink) — far too
-        // global for a shard. Defer to the quantum barrier; the shard's
-        // own view dedups repeat requests like the live path would.
-        Shard& sh = *shards_[core];
-        if (sh.meta_bytes == bytes)
-            return;
-        sh.meta_bytes = bytes;
-        sh.ops.push_back({.kind = ShardOp::Kind::Partition,
-                          .t0 = now,
-                          .arg = bytes});
-        return;
-    }
     PerCore& pcs = cores_[core];
     if (pcs.meta_bytes == bytes)
         return;
@@ -634,105 +552,6 @@ MemorySystem::checkpoint(sim::Snapshot& s)
     llc_->checkpoint(s, codec);
     dram_.checkpoint(s);
     s.io(stats_epoch_start_);
-}
-
-LineState*
-MemorySystem::shard_line(Shard& sh, sim::Addr block)
-{
-    if (LineState* hit = sh.overlay.find(block))
-        return hit;
-    if (std::optional<LineState> base = llc_->peek(block)) {
-        LineState& st = sh.overlay.ref(block);
-        st = *base;
-        return &st;
-    }
-    return nullptr;
-}
-
-LookupResult
-MemorySystem::shard_llc_access(Shard& sh, sim::Addr block, sim::Cycle now,
-                               bool is_prefetch_probe)
-{
-    LineState* st = shard_line(sh, block);
-    if (st == nullptr)
-        return {};
-    LookupResult res{true, false, false, st->ready_time, nullptr};
-    if (is_prefetch_probe)
-        return res;
-    // Mirror SetAssocCache::access's demand-touch of a prefetched line
-    // on the shard's view; the replayed access performs the canonical
-    // transition (stats, replacement state, lifecycle credit).
-    if (st->prefetched) {
-        res.first_prefetch_use = true;
-        res.pf_owner = st->pf_owner;
-        if (st->ready_time > now)
-            res.late_prefetch = true;
-        st->prefetched = false;
-        st->pf_owner = nullptr;
-    }
-    return res;
-}
-
-void
-MemorySystem::shard_begin()
-{
-    TRIAGE_ASSERT(!sharded_, "nested shard_begin");
-    if (trace_ != nullptr || lifecycle_ != nullptr) {
-        util::fatal("sharded execution cannot drive the event trace or "
-                    "lifecycle tracker; detach observers first");
-    }
-    if (shards_.empty()) {
-        shards_.reserve(n_cores_);
-        for (unsigned c = 0; c < n_cores_; ++c)
-            shards_.push_back(std::make_unique<Shard>(dram_));
-    }
-    for (unsigned c = 0; c < n_cores_; ++c) {
-        Shard& sh = *shards_[c];
-        sh.dram = dram_;
-        sh.overlay.clear();
-        sh.ops.clear();
-        sh.meta_bytes = cores_[c].meta_bytes;
-    }
-    sharded_ = true;
-}
-
-void
-MemorySystem::shard_merge()
-{
-    TRIAGE_ASSERT(sharded_, "shard_merge without shard_begin");
-    // Replay runs against the real structures via the legacy paths.
-    sharded_ = false;
-    for (unsigned c = 0; c < n_cores_; ++c) {
-        for (const ShardOp& op : shards_[c]->ops) {
-            switch (op.kind) {
-              case ShardOp::Kind::LlcAccess:
-                llc_->access(op.block, op.pc, op.t0, false, op.flag1);
-                break;
-              case ShardOp::Kind::LlcInsert: {
-                  Eviction ev = llc_->insert(op.block, op.pc, op.t0,
-                                             op.flag0, op.flag1, op.owner);
-                  if (ev.valid && ev.dirty)
-                      dram_.writeback(ev.block, op.t1);
-                  break;
-              }
-              case ShardOp::Kind::Writeback:
-                writeback_to_llc(c, op.block, op.t0);
-                break;
-              case ShardOp::Kind::DramDemand:
-                dram_.demand_read(op.block, op.t0);
-                break;
-              case ShardOp::Kind::DramPrefetch:
-                dram_.prefetch_read(op.block, op.t0);
-                break;
-              case ShardOp::Kind::Metadata:
-                dram_.metadata_access(op.t0, op.bytes, op.flag0, op.flag1);
-                break;
-              case ShardOp::Kind::Partition:
-                request_metadata_capacity(c, op.arg, op.t0);
-                break;
-            }
-        }
-    }
 }
 
 } // namespace triage::cache

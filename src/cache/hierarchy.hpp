@@ -18,7 +18,6 @@
 
 #include "cache/cache.hpp"
 #include "cache/mshr_queue.hpp"
-#include "util/flat_map.hpp"
 #include "prefetch/prefetcher.hpp"
 #include "prefetch/stride.hpp"
 #include "sim/config.hpp"
@@ -52,61 +51,10 @@ struct MetadataEnergy {
 };
 
 /**
- * One shared-state operation logged during a sharded quantum, replayed
- * against the real LLC/DRAM/partition controller at the quantum barrier
- * in fixed core-major order (docs/parallel-runs.md).
- */
-struct ShardOp {
-    enum class Kind : std::uint8_t {
-        LlcAccess,    ///< demand/prefetch probe of the shared LLC
-        LlcInsert,    ///< fill into the shared LLC (eviction at replay)
-        Writeback,    ///< L2 victim writeback into the LLC
-        DramDemand,   ///< demand read
-        DramPrefetch, ///< prefetch read (may drop at replay)
-        Metadata,     ///< off-chip prefetcher-metadata burst
-        Partition,    ///< deferred metadata-capacity request
-    };
-    Kind kind{};
-    bool flag0 = false;       ///< dirty / is_write
-    bool flag1 = false;       ///< is_prefetch / charge_time
-    std::uint32_t bytes = 0;  ///< Metadata burst size
-    sim::Addr block = 0;
-    sim::Pc pc = 0;
-    sim::Cycle t0 = 0;        ///< primary time (now / issue / ready)
-    sim::Cycle t1 = 0;        ///< secondary time (eviction writeback)
-    std::uint64_t arg = 0;    ///< Partition byte grant
-    prefetch::Prefetcher* owner = nullptr;
-};
-
-/**
- * One core's private view of the shared structures during a sharded
- * quantum: a copy of the DRAM channel state (timing estimates), an
- * overlay of LLC lines this core has touched or filled (consulted
- * before the frozen base array), and the op log the barrier replays.
- * Shard contents are a function of the frozen pre-quantum state and
- * this core's own actions only, which is why sharded execution is
- * bit-identical for any thread count.
- */
-struct Shard {
-    explicit Shard(const sim::Dram& d) : dram(d) {}
-
-    sim::Dram dram;                                   ///< re-seeded per quantum
-    /** This core's LLC view — an arena-backed flat map whose capacity
-     *  survives the per-quantum clear() (util/flat_map.hpp). */
-    util::FlatMap<sim::Addr, LineState> overlay;
-    std::vector<ShardOp> ops;                         ///< replayed core-major
-    std::uint64_t meta_bytes = 0;                     ///< deferred partition view
-};
-
-/**
  * Shared memory system for @p n_cores cores.
  *
  * Thread-unsafe by design: the (single-threaded) core models interleave
- * accesses in quantum order. The exception is a sharded quantum
- * (shard_begin()/shard_merge()): between those calls, each core's
- * access stream may run on its own thread — shared structures are
- * frozen, per-core mutations go to private shards, and the merge
- * replays them deterministically.
+ * accesses in quantum order.
  */
 class MemorySystem final : public prefetch::PrefetchHost
 {
@@ -208,26 +156,6 @@ class MemorySystem final : public prefetch::PrefetchHost
      */
     void checkpoint(sim::Snapshot& s);
 
-    /**
-     * Enter sharded execution for one quantum: freeze the shared LLC
-     * and DRAM, hand each core a private DRAM copy, an empty LLC
-     * overlay and an empty op log. Until shard_merge(), core @p c's
-     * access stream may run on any thread as long as no two threads
-     * drive the same core. Fatal if an event trace or lifecycle
-     * tracker is attached (they cannot be driven from shard threads).
-     */
-    void shard_begin();
-
-    /**
-     * Leave sharded execution: replay every core's logged shared-state
-     * operations against the real LLC / DRAM / partition controller in
-     * core-major order. The fixed merge order is what makes sharded
-     * results deterministic and independent of the thread count.
-     */
-    void shard_merge();
-
-    bool sharded() const { return sharded_; }
-
   private:
     struct PerCore {
         std::unique_ptr<SetAssocCache> l1;
@@ -270,14 +198,6 @@ class MemorySystem final : public prefetch::PrefetchHost
     void credit_prefetch(unsigned core, sim::Addr block,
                          const LookupResult& r);
 
-    /** Overlay-or-frozen-base view of @p block; pulls the base line
-     *  into the overlay on first touch. Null when not resident. */
-    LineState* shard_line(Shard& sh, sim::Addr block);
-    /** Shard-local emulation of SetAssocCache::access on the LLC
-     *  (stats and replacement state update at replay, not here). */
-    LookupResult shard_llc_access(Shard& sh, sim::Addr block,
-                                  sim::Cycle now, bool is_prefetch_probe);
-
     sim::MachineConfig cfg_;
     unsigned n_cores_;
     std::vector<PerCore> cores_;
@@ -286,10 +206,6 @@ class MemorySystem final : public prefetch::PrefetchHost
     sim::Cycle stats_epoch_start_ = 0;
     obs::EventTrace* trace_ = nullptr;
     obs::LifecycleTracker* lifecycle_ = nullptr;
-
-    /** Per-core shards, lazily built on the first shard_begin(). */
-    std::vector<std::unique_ptr<Shard>> shards_;
-    bool sharded_ = false;
 };
 
 } // namespace triage::cache

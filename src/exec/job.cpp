@@ -79,8 +79,6 @@ JobKey::str() const
     // the seeds derived from it) is unchanged.
     if (quantum != 0)
         os << "|q" << quantum;
-    if (sharded)
-        os << "|xs";
     return os.str();
 }
 
@@ -140,10 +138,6 @@ key_of(const Job& job)
     k.measure_records = job.scale.measure_records;
     k.workload_scale = job.scale.workload_scale;
     k.quantum = job.quantum;
-    // Single-core jobs have no quantum interleaving to shard; their
-    // exec_mode is inert and must not split the memoization space.
-    k.sharded =
-        job.exec_mode == sim::ExecMode::Sharded && !job.mix.empty();
     return k;
 }
 
@@ -152,7 +146,6 @@ warm_prefix(const JobKey& key)
 {
     JobKey warm = key;
     warm.measure_records = 0;
-    warm.sharded = false;
     return warm;
 }
 
@@ -247,8 +240,7 @@ run_job(const Job& job, CheckpointStore* ckpt)
             ckpt, key,
             [&] { sys.run_warmup(job.scale.warmup_records, quantum); },
             [&](sim::Snapshot& s) { sys.checkpoint_warm(s); });
-        return sys.run_measure(job.scale.measure_records, quantum,
-                               job.exec_mode, job.threads);
+        return sys.run_measure(job.scale.measure_records, quantum);
     }
 
     sim::SingleCoreSystem sys(job.config);

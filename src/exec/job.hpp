@@ -63,22 +63,6 @@ struct Job {
     std::uint32_t replica = 0;
 
     /**
-     * Measurement-phase execution mode for multi-core mixes:
-     * ExecMode::Sharded runs each core's quantum on a worker pool
-     * against a frozen shared-state view (sim/multicore.hpp). Sharded
-     * results are deterministic but not bit-identical to Legacy, so
-     * the mode is part of the JobKey. Ignored for single-core jobs.
-     */
-    sim::ExecMode exec_mode = sim::ExecMode::Legacy;
-
-    /**
-     * Worker threads for a Sharded measurement (0 = one per core,
-     * capped at the hardware). NOT part of the JobKey: sharded results
-     * are bit-identical for any thread count.
-     */
-    unsigned threads = 0;
-
-    /**
      * Multi-core quantum in cycles (0 = the default 1000). Part of the
      * JobKey — the warmup interleaving depends on it.
      */
@@ -139,8 +123,6 @@ struct JobKey {
     /** Multi-core quantum (0 = default; "|q<N>" only when non-zero,
      *  so pre-existing key strings are unchanged). */
     std::uint64_t quantum = 0;
-    /** Sharded measurement phase ("|xs" marker; mixes only). */
-    bool sharded = false;
 
     bool operator==(const JobKey&) const = default;
 
@@ -172,10 +154,10 @@ JobKey key_of(const Job& job);
 
 /**
  * The warm prefix of @p key: everything the warm state depends on.
- * The measurement length and execution mode are zeroed out — two jobs
- * differing only in those share one warm checkpoint (warmup always
- * runs Legacy serial, and the warm point predates the measurement
- * window). Its str() doubles as the checkpoint fingerprint.
+ * The measurement length is zeroed out — two jobs differing only in
+ * it share one warm checkpoint (the warm point predates the
+ * measurement window). Its str() doubles as the checkpoint
+ * fingerprint.
  */
 JobKey warm_prefix(const JobKey& key);
 

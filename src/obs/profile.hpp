@@ -7,7 +7,7 @@
  * (docs/observability.md §10). Three pieces:
  *
  *  - **Phase timers.** `ProfScope` is an RAII scope a run harness drops
- *    around a phase (warmup, measure, epoch, weave, snapshot save /
+ *    around a phase (warmup, measure, epoch, snapshot save /
  *    restore). Scopes nest; a scope's aggregation key is the
  *    dot-joined path of the scopes active on its thread ("job.warmup",
  *    "job.measure.epoch"), so the phase table doubles as a call-tree
@@ -150,9 +150,8 @@ class Profiler
      */
     double attributed_seconds() const;
 
-    /** Record a phase interval measured externally (e.g. the sharded
-     *  quantum barrier stall, timed inside the crew). No-op when
-     *  disarmed. */
+    /** Record a phase interval measured externally (e.g.
+     *  triagesim's pre-scope startup). No-op when disarmed. */
     void add_external(const std::string& path, std::uint64_t ns,
                       std::uint64_t count = 1);
 
@@ -212,8 +211,8 @@ class Profiler
  * be silently wrong otherwise).
  *
  * @p hw=false skips the counter read for very fine-grained scopes
- * (e.g. the per-quantum weave) where two syscalls per entry would
- * distort what is being measured; the wall timer still runs.
+ * where two syscalls per entry would distort what is being measured;
+ * the wall timer still runs.
  */
 class ProfScope
 {

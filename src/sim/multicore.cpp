@@ -1,11 +1,6 @@
 #include "sim/multicore.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <thread>
 
 #include "obs/profile.hpp"
 #include "sim/obs_wiring.hpp"
@@ -14,138 +9,6 @@
 #include "util/log.hpp"
 
 namespace triage::sim {
-
-namespace {
-
-/**
- * Persistent worker pool driving one sharded measurement phase: each
- * quantum, every core index is dispatched exactly once (static stride
- * partition — which thread runs which core cannot affect results, the
- * shards are independent), and run() returns only after all cores hit
- * the barrier. With one thread the quantum runs inline on the caller,
- * which is the serial execution the determinism suite compares against.
- */
-class QuantumCrew
-{
-  public:
-    QuantumCrew(unsigned threads, unsigned cores)
-        : threads_(std::max(1u, std::min(threads, cores))), cores_(cores)
-    {
-        if (threads_ <= 1)
-            return;
-        workers_.reserve(threads_ - 1);
-        for (unsigned t = 1; t < threads_; ++t)
-            workers_.emplace_back([this, t] { worker(t); });
-    }
-
-    ~QuantumCrew()
-    {
-        if (threads_ <= 1)
-            return;
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stop_ = true;
-        }
-        cv_.notify_all();
-        for (auto& w : workers_)
-            w.join();
-    }
-
-    unsigned threads() const { return threads_; }
-
-    /** Run fn(core) for every core; returns once all are done. */
-    void
-    run(const std::function<void(unsigned)>& fn)
-    {
-        if (threads_ <= 1) {
-            for (unsigned c = 0; c < cores_; ++c)
-                fn(c);
-            return;
-        }
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            fn_ = &fn;
-            pending_ = threads_ - 1;
-            ++generation_;
-        }
-        cv_.notify_all();
-        slice(0);
-        // The wait below is the quantum barrier: the main thread has
-        // finished its own slice and stalls for the slowest worker.
-        // That stall is the sharding speedup ceiling, so the profiler
-        // accounts it separately (profile phase measure.barrier_stall).
-        if (obs::prof::Profiler::armed()) {
-            const auto t0 = std::chrono::steady_clock::now();
-            std::unique_lock<std::mutex> lk(mu_);
-            done_cv_.wait(lk, [&] { return pending_ == 0; });
-            fn_ = nullptr;
-            stall_ns_ += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count());
-            ++stalls_;
-            return;
-        }
-        std::unique_lock<std::mutex> lk(mu_);
-        done_cv_.wait(lk, [&] { return pending_ == 0; });
-        fn_ = nullptr;
-    }
-
-    /** Main-thread barrier-stall totals (profiling runs only). */
-    std::uint64_t stall_ns() const { return stall_ns_; }
-    std::uint64_t stalls() const { return stalls_; }
-
-  private:
-    void
-    slice(unsigned id)
-    {
-        for (unsigned c = id; c < cores_; c += threads_)
-            (*fn_)(c);
-    }
-
-    void
-    worker(unsigned id)
-    {
-        std::uint64_t seen = 0;
-        std::unique_lock<std::mutex> lk(mu_);
-        for (;;) {
-            cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
-            if (stop_)
-                return;
-            seen = generation_;
-            lk.unlock();
-            slice(id);
-            lk.lock();
-            if (--pending_ == 0)
-                done_cv_.notify_one();
-        }
-    }
-
-    unsigned threads_;
-    unsigned cores_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::condition_variable done_cv_;
-    const std::function<void(unsigned)>* fn_ = nullptr;
-    unsigned pending_ = 0;
-    std::uint64_t generation_ = 0;
-    std::uint64_t stall_ns_ = 0;
-    std::uint64_t stalls_ = 0;
-    bool stop_ = false;
-    std::vector<std::thread> workers_;
-};
-
-unsigned
-effective_threads(unsigned requested, unsigned cores)
-{
-    if (requested == 0) {
-        requested =
-            std::min(cores, std::max(1u, std::thread::hardware_concurrency()));
-    }
-    return std::max(1u, std::min(requested, cores));
-}
-
-} // namespace
 
 MultiCoreSystem::MultiCoreSystem(const MachineConfig& cfg, unsigned n_cores)
     : cfg_(cfg), n_cores_(n_cores), mem_(cfg, n_cores),
@@ -247,8 +110,7 @@ MultiCoreSystem::checkpoint_warm(Snapshot& s)
 }
 
 RunResult
-MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
-                             ExecMode mode, unsigned threads)
+MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
 {
     TRIAGE_ASSERT(warmed_,
                   "run_measure needs a warm system (run_warmup or a "
@@ -284,16 +146,6 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
             core_ptrs.push_back(c.get());
         attach_observability(*obs_, mem_, core_ptrs);
     }
-    const bool sharded = mode == ExecMode::Sharded;
-    if (sharded) {
-        // The registry, sampler and verifier read only at quantum
-        // barriers (main thread) and stay attached; the event trace,
-        // lifecycle tracker and partition timeline are driven from the
-        // access path and cannot cross shard threads.
-        detach_observability(mem_);
-    }
-    QuantumCrew crew(sharded ? effective_threads(threads, n_cores_) : 1,
-                     n_cores_);
 
     const bool sampling = obs_ != nullptr && obs_->sampler.enabled();
     obs::RunVerifier* verifier =
@@ -318,22 +170,12 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
     };
 
     // Run until every core finishes its measurement window. Each
-    // iteration is one epoch unit per core: a bounded quantum ending at
-    // a barrier where shared-state ops merge (sharded) and the sampler
-    // and verifier observe a consistent system.
+    // iteration is one bounded quantum per core, ending where the
+    // sampler and verifier observe a consistent system.
     unsigned remaining = n_cores_;
     while (remaining > 0) {
-        if (sharded) {
-            mem_.shard_begin();
-            crew.run([this, global](unsigned c) { advance(c, global); });
-            // hw=false: one weave per quantum, and two counter-read
-            // syscalls per quantum would dominate what is measured.
-            obs::prof::ProfScope weave("weave", /*hw=*/false);
-            mem_.shard_merge();
-        } else {
-            for (unsigned c = 0; c < n_cores_; ++c)
-                advance(c, global);
-        }
+        for (unsigned c = 0; c < n_cores_; ++c)
+            advance(c, global);
         global += quantum;
         for (unsigned c = 0; c < n_cores_; ++c) {
             if (done[c])
@@ -357,10 +199,6 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
                 next_verify += obs::RunVerifier::DEFAULT_EPOCH_RECORDS;
             }
         }
-    }
-    if (crew.stalls() > 0) {
-        obs::prof::Profiler::instance().add_external(
-            "measure.barrier_stall", crew.stall_ns(), crew.stalls());
     }
     if (sampling)
         obs_->sampler.finalize(measure_records);
@@ -403,11 +241,10 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
 
 RunResult
 MultiCoreSystem::run(std::uint64_t warmup_records,
-                     std::uint64_t measure_records, Cycle quantum,
-                     ExecMode mode, unsigned threads)
+                     std::uint64_t measure_records, Cycle quantum)
 {
     run_warmup(warmup_records, quantum);
-    return run_measure(measure_records, quantum, mode, threads);
+    return run_measure(measure_records, quantum);
 }
 
 } // namespace triage::sim

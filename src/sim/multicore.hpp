@@ -9,10 +9,9 @@
  * The run is split into resumable phases: run_warmup() reaches the warm
  * point, checkpoint_warm() serializes/restores it (exec::Lab forks
  * sweeps from shared warm snapshots), and run_measure() executes the
- * measurement window — serially (ExecMode::Legacy) or with per-core
- * epoch units on a thread pool rendezvousing at quantum barriers
- * (ExecMode::Sharded, see docs/parallel-runs.md). Sharded results are
- * bit-identical for any thread count.
+ * measurement window. Both phases interleave the cores serially,
+ * core-major within each quantum, so every core contends for the one
+ * shared LLC and DRAM.
  */
 #ifndef TRIAGE_SIM_MULTICORE_HPP
 #define TRIAGE_SIM_MULTICORE_HPP
@@ -52,14 +51,11 @@ class MultiCoreSystem
      * Equivalent to run_warmup() followed by run_measure().
      */
     RunResult run(std::uint64_t warmup_records,
-                  std::uint64_t measure_records, Cycle quantum = 1000,
-                  ExecMode mode = ExecMode::Legacy, unsigned threads = 0);
+                  std::uint64_t measure_records, Cycle quantum = 1000);
 
     /**
-     * Phase 1: advance every core past its warmup window. Warmup always
-     * runs the legacy serial interleaving, so the warm state is
-     * independent of the measurement-phase ExecMode (a warm checkpoint
-     * serves both). @p quantum must match the later run_measure()'s.
+     * Phase 1: advance every core past its warmup window. @p quantum
+     * must match the later run_measure()'s.
      */
     void run_warmup(std::uint64_t warmup_records, Cycle quantum = 1000);
 
@@ -71,17 +67,17 @@ class MultiCoreSystem
      */
     void checkpoint_warm(Snapshot& s);
 
-    /**
-     * Phase 2: the measurement window, from the warm point. Legacy mode
-     * interleaves cores serially; Sharded mode runs each core's quantum
-     * on @p threads workers (0 = one per core, capped at the hardware)
-     * against a frozen view of the shared state, merging logged
-     * operations in fixed core-major order at each quantum barrier.
-     */
+    /** Phase 2: the measurement window, from the warm point. */
     RunResult run_measure(std::uint64_t measure_records,
-                          Cycle quantum = 1000,
-                          ExecMode mode = ExecMode::Legacy,
-                          unsigned threads = 0);
+                          Cycle quantum = 1000);
+
+    /** Kept only for perfbench/traced.cpp; forwards to the above. */
+    RunResult
+    run_measure(std::uint64_t measure_records, Cycle quantum, ExecMode,
+                unsigned)
+    {
+        return run_measure(measure_records, quantum);
+    }
 
     cache::MemorySystem& memory() { return mem_; }
     unsigned num_cores() const { return n_cores_; }
@@ -90,10 +86,7 @@ class MultiCoreSystem
      * Attach an observability bundle. Epoch progress is the minimum
      * measured-record count across cores, so every core has executed
      * at least [begin, end) records when an epoch closes. Null
-     * detaches. Sharded measurement keeps the registry, sampler and
-     * verifier (all driven at quantum barriers) but detaches the event
-     * trace, lifecycle tracker and partition timeline — those observers
-     * cannot be driven from shard threads.
+     * detaches.
      */
     void set_observability(obs::Observability* o) { obs_ = o; }
 

@@ -37,19 +37,8 @@ block_base(Addr block)
     return block << BLOCK_SHIFT;
 }
 
-/**
- * How a multi-core measurement phase advances its cores.
- *
- * Legacy interleaves cores serially (core-major within each quantum).
- * Sharded runs each core's quantum against a frozen view of the shared
- * LLC/DRAM and replays the logged shared-state operations in a fixed
- * core-major merge order at the quantum barrier — results are
- * bit-identical for any worker-thread count (docs/parallel-runs.md).
- */
-enum class ExecMode : std::uint8_t {
-    Legacy = 0,
-    Sharded = 1,
-};
+/** Kept only for perfbench/traced.cpp's four-argument run_measure call. */
+enum class ExecMode { Legacy };
 
 /** Kinds of memory traffic tracked by the DRAM model. */
 enum class TrafficClass : std::uint8_t {

@@ -107,6 +107,10 @@ TEST(JobKey, DistinguishesEveryAxis)
     auto machine = bench_job("mcf", "triage_dyn");
     machine.config.l2_mshrs = 16;
     EXPECT_NE(base, exec::key_of(machine));
+
+    auto quantum = bench_job("mcf", "triage_dyn");
+    quantum.quantum = 5000;
+    EXPECT_NE(base, exec::key_of(quantum));
 }
 
 TEST(JobKey, DerivedSeedVariesByReplica)

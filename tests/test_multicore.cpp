@@ -154,3 +154,33 @@ TEST(MultiCore, MixRunnerBuildsPerCorePrefetchers)
     EXPECT_GT(res.per_core[0].l2pf.train_events, 0u);
     EXPECT_GT(res.per_core[1].l2pf.train_events, 0u);
 }
+
+TEST(MultiCore, QuantumIsPartOfTheSemantics)
+{
+    // The quantum bounds cross-core skew, so a different quantum is a
+    // different interleaving and a different result — which is why it
+    // is part of the JobKey — while a repeat run is bit-identical.
+    auto run_quantum = [](sim::Cycle quantum) {
+        sim::MultiCoreSystem sys(sim::MachineConfig{}, 2);
+        const char* mix[] = {"mcf", "omnetpp"};
+        for (unsigned c = 0; c < 2; ++c) {
+            sys.set_prefetcher(c, stats::make_prefetcher("triage_dyn", 4));
+            auto wl = workloads::make_benchmark(mix[c]);
+            wl->set_instance(c);
+            sys.bind(c, *wl);
+        }
+        return sys.run(8000, 30000, quantum);
+    };
+    const sim::RunResult q1 = run_quantum(1000);
+    const sim::RunResult again = run_quantum(1000);
+    const sim::RunResult q5 = run_quantum(5000);
+    for (unsigned c = 0; c < 2; ++c) {
+        EXPECT_EQ(q1.per_core[c].cycles, again.per_core[c].cycles);
+        EXPECT_EQ(q1.per_core[c].l2.demand_misses,
+                  again.per_core[c].l2.demand_misses);
+    }
+    EXPECT_EQ(q1.llc.demand_misses, again.llc.demand_misses);
+    EXPECT_EQ(q1.traffic.total(), again.traffic.total());
+    EXPECT_EQ(q1.span, again.span);
+    EXPECT_NE(q1.per_core[0].cycles, q5.per_core[0].cycles);
+}

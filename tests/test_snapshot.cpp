@@ -331,8 +331,8 @@ TEST(EpochResume, MidMeasureCheckpointIsBitIdentical)
 
 // ---------------------------------------------------------------------
 // Warm-prefix sharing (the Lab contract): memoization keys the FULL
-// JobKey, but jobs differing only in measurement length (or sharded
-// mode) share one warm checkpoint.
+// JobKey, but jobs differing only in measurement length share one
+// warm checkpoint.
 
 exec::Job
 mcf_job(std::uint64_t measure)
@@ -349,10 +349,9 @@ mcf_job(std::uint64_t measure)
 TEST(WarmPrefix, LegacyKeyStringsUnchanged)
 {
     const exec::JobKey k = exec::key_of(mcf_job(40000));
-    // No "|q..."/"|xs" markers on default jobs: every pre-existing key
+    // No "|q..." marker on default jobs: every pre-existing key
     // string (and every seed derived from one) stays stable.
     EXPECT_EQ(k.str().find("|q"), std::string::npos);
-    EXPECT_EQ(k.str().find("|xs"), std::string::npos);
 }
 
 TEST(WarmPrefix, MeasureLengthDoesNotSplitTheWarmPrefix)

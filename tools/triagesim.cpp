@@ -118,7 +118,7 @@ usage()
         "                         results are identical at any N)\n"
         "  --json                 emit the report as JSON\n"
         "  --profile              profile the simulator itself: phase\n"
-        "                         timers (warmup/measure/epoch/weave/\n"
+        "                         timers (warmup/measure/epoch/\n"
         "                         snapshot), hardware counters where\n"
         "                         perf_event_open works (TSC fallback\n"
         "                         otherwise), worker + checkpoint-store\n"
