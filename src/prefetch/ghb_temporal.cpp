@@ -34,19 +34,18 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
 
     // --- Predict: find the previous occurrence and replay successors.
     if (cfg_.mode != GhbIndexMode::AddressPair || have_last_) {
-        auto it = index_.find(index_key(ev.block));
+        const std::uint64_t* prev = index_.find(index_key(ev.block));
         // Off-chip index probe.
         ++stats_.meta_offchip_reads;
         host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
                                      false, charge);
-        if (it != index_.end() &&
-            next_pos_ - it->second <= cfg_.ghb_entries) {
+        if (prev != nullptr && next_pos_ - *prev <= cfg_.ghb_entries) {
             // Off-chip history-buffer read (one burst covers a stream).
             ++stats_.meta_offchip_reads;
             host.offchip_metadata_access(ev.core, ev.now, sim::BLOCK_SIZE,
                                          false, charge);
             for (std::uint32_t d = 1; d <= cfg_.degree; ++d) {
-                std::uint64_t pos = it->second + d;
+                std::uint64_t pos = *prev + d;
                 if (pos >= next_pos_)
                     break;
                 sim::Addr target = ghb_[pos % cfg_.ghb_entries];
@@ -59,7 +58,7 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
 
     // --- Record: append to the history buffer, update the index.
     ghb_[next_pos_ % cfg_.ghb_entries] = ev.block;
-    index_[index_key(ev.block)] = next_pos_;
+    index_.ref(index_key(ev.block)) = next_pos_;
     ++next_pos_;
     have_last_ = true;
     last_trigger_ = ev.block;
@@ -77,12 +76,9 @@ GhbTemporal::train(const TrainEvent& ev, PrefetchHost& host)
 
     // Bound the index map: drop entries that fell out of the buffer.
     if (index_.size() > 2ULL * cfg_.ghb_entries) {
-        for (auto it = index_.begin(); it != index_.end();) {
-            if (next_pos_ - it->second > cfg_.ghb_entries)
-                it = index_.erase(it);
-            else
-                ++it;
-        }
+        index_.erase_if([&](std::uint64_t, std::uint64_t pos) {
+            return next_pos_ - pos > cfg_.ghb_entries;
+        });
     }
 }
 

@@ -19,10 +19,10 @@
 #define TRIAGE_PREFETCH_GHB_TEMPORAL_HPP
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "util/flat_map.hpp"
 
 namespace triage::prefetch {
 
@@ -63,7 +63,7 @@ class GhbTemporal final : public Prefetcher
         s.section("pf.ghb_temporal");
         s.io_pod_vec(ghb_);
         s.io(next_pos_);
-        s.io_map(index_);
+        s.io_flat_map(index_);
         s.io(last_trigger_);
         s.io(have_last_);
         s.io(appends_);
@@ -75,7 +75,8 @@ class GhbTemporal final : public Prefetcher
     GhbTemporalConfig cfg_;
     std::vector<sim::Addr> ghb_;
     std::uint64_t next_pos_ = 0; ///< absolute append position
-    std::unordered_map<std::uint64_t, std::uint64_t> index_;
+    /** Index key -> absolute position of its latest occurrence. */
+    util::FlatMap<std::uint64_t, std::uint64_t> index_;
     sim::Addr last_trigger_ = 0;
     bool have_last_ = false;
     std::uint64_t appends_ = 0;

@@ -4,6 +4,7 @@
 
 #include "util/bitops.hpp"
 #include "util/log.hpp"
+#include "util/simd_probe.hpp"
 
 namespace triage::prefetch {
 
@@ -55,6 +56,83 @@ MetadataCache::insert(std::uint64_t key, std::uint64_t value, bool dirty)
     return ev;
 }
 
+GranuleTable::Row&
+GranuleTable::row_ref(std::uint64_t granule)
+{
+    if (const std::uint32_t* ri = index_.find(granule))
+        return row_at(*ri);
+    if (rows_ == chunks_.size() * CHUNK_ROWS)
+        chunks_.push_back(std::make_unique<Row[]>(CHUNK_ROWS));
+    index_.ref(granule) = rows_;
+    Row& r = row_at(rows_++);
+    r = Row{};
+    return r;
+}
+
+std::vector<std::uint64_t>
+GranuleTable::sorted_granules() const
+{
+    std::vector<std::uint64_t> granules;
+    granules.reserve(index_.size());
+    index_.for_each(
+        [&](std::uint64_t g, std::uint32_t) { granules.push_back(g); });
+    std::sort(granules.begin(), granules.end());
+    return granules;
+}
+
+void
+GranuleTable::clear()
+{
+    index_.clear();
+    rows_ = 0;
+    size_ = 0;
+}
+
+void
+GranuleTable::checkpoint(sim::Snapshot& s)
+{
+    s.section("misb.granules");
+    std::uint64_t n = size_;
+    s.io(n);
+    if (s.saving()) {
+        std::vector<std::uint64_t> confident;
+        for (std::uint64_t g : sorted_granules()) {
+            const Row& r = row_at(*index_.find(g));
+            for (std::uint32_t m = r.present; m != 0; m &= m - 1) {
+                const auto slot = static_cast<unsigned>(std::countr_zero(m));
+                std::uint64_t k = g * ROW_ENTRIES + slot;
+                std::uint64_t v = r.value[slot];
+                s.io_pod(k);
+                s.io_pod(v);
+            }
+            for (std::uint32_t m = r.confident; m != 0; m &= m - 1) {
+                confident.push_back(
+                    g * ROW_ENTRIES +
+                    static_cast<unsigned>(std::countr_zero(m)));
+            }
+        }
+        std::uint64_t nc = confident.size();
+        s.io(nc);
+        for (std::uint64_t k : confident)
+            s.io_pod(k);
+        return;
+    }
+    clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        std::uint64_t k = 0, v = 0;
+        s.io_pod(k);
+        s.io_pod(v);
+        set(k, v);
+    }
+    std::uint64_t confident = 0;
+    s.io(confident);
+    for (std::uint64_t i = 0; i < confident; ++i) {
+        std::uint64_t k = 0;
+        s.io_pod(k);
+        set_confident(k);
+    }
+}
+
 MisbConfig
 isb_config(std::uint32_t degree)
 {
@@ -72,13 +150,15 @@ Misb::Misb(MisbConfig cfg)
       ps_cache_(cfg.ps_cache_entries, cfg.cache_ways),
       sp_cache_(cfg.sp_cache_entries, cfg.cache_ways),
       tu_(cfg.training_unit_entries),
-      streams_(32),
+      stream_expected_(32, INVALID),
+      stream_structural_(32),
+      stream_lru_(32),
       name_(cfg.display_name)
 {
 }
 
 void
-Misb::handle_eviction(const MetadataCache::Evicted& ev_entry, bool is_ps,
+Misb::handle_eviction(const MetadataCache::Evicted& ev_entry,
                       const TrainEvent& ev, PrefetchHost& host)
 {
     if (!ev_entry.valid || !ev_entry.dirty)
@@ -87,7 +167,6 @@ Misb::handle_eviction(const MetadataCache::Evicted& ev_entry, bool is_ps,
     // 4-byte entries coalesce in a write buffer and drain to DRAM one
     // 64 B burst per granule_entries evictions, instead of a full line
     // per entry.
-    (void)is_ps;
     if (++pending_dirty_ >= cfg_.granule_entries) {
         pending_dirty_ = 0;
         ++stats_.meta_offchip_writes;
@@ -101,7 +180,8 @@ Misb::fetch_granule(bool is_ps, std::uint64_t first_key,
                     const TrainEvent& ev, PrefetchHost& host)
 {
     // A granule of granule_entries 4-byte entries moves in 64 B bursts
-    // (one burst for MISB's 16-entry granules, four for ISB's pages).
+    // (one burst — one table row — for MISB's 16-entry granules, four
+    // for ISB's pages).
     std::uint64_t base =
         first_key / cfg_.granule_entries * cfg_.granule_entries;
     std::uint32_t bursts =
@@ -110,15 +190,12 @@ Misb::fetch_granule(bool is_ps, std::uint64_t first_key,
     sim::Cycle done = host.offchip_metadata_access(
         ev.core, ev.now, bursts * sim::BLOCK_SIZE, false,
         cfg_.charge_time);
-    auto& backing = is_ps ? ps_backing_ : sp_backing_;
-    auto& mcache = is_ps ? ps_cache_ : sp_cache_;
-    for (std::uint32_t i = 0; i < cfg_.granule_entries; ++i) {
-        auto it = backing.find(base + i);
-        if (it == backing.end())
-            continue;
-        handle_eviction(mcache.insert(base + i, it->second, false), is_ps,
-                        ev, host);
-    }
+    MetadataCache& mcache = is_ps ? ps_cache_ : sp_cache_;
+    (is_ps ? ps_ : sp_).for_range(
+        base, cfg_.granule_entries,
+        [&](std::uint64_t key, std::uint64_t value) {
+            handle_eviction(mcache.insert(key, value, false), ev, host);
+        });
     return done;
 }
 
@@ -130,11 +207,12 @@ Misb::ps_lookup(sim::Addr phys, const TrainEvent& ev, PrefetchHost& host,
     if (auto v = ps_cache_.find(phys))
         return *v;
     // Bloom filter: untracked addresses never go off chip.
-    if (mapped_.find(phys) == mapped_.end())
+    const std::uint64_t* mapped = ps_.find(phys);
+    if (mapped == nullptr)
         return INVALID;
+    const std::uint64_t structural = *mapped;
     avail = fetch_granule(true, phys, ev, host);
-    auto it = ps_backing_.find(phys);
-    return it == ps_backing_.end() ? INVALID : it->second;
+    return structural;
 }
 
 sim::Addr
@@ -144,30 +222,39 @@ Misb::sp_lookup(std::uint64_t structural, const TrainEvent& ev,
     avail = ev.now;
     if (auto v = sp_cache_.find(structural))
         return *v;
-    auto it = sp_backing_.find(structural);
-    if (it == sp_backing_.end())
+    const std::uint64_t* mapped = sp_.find(structural);
+    if (mapped == nullptr)
         return INVALID;
+    const sim::Addr phys = *mapped;
     avail = fetch_granule(false, structural, ev, host);
-    return it->second;
+    return phys;
 }
 
 void
 Misb::ps_update(sim::Addr phys, std::uint64_t structural,
                 const TrainEvent& ev, PrefetchHost& host)
 {
-    ps_backing_[phys] = structural;
-    mapped_.insert(phys);
-    handle_eviction(ps_cache_.insert(phys, structural, true), true, ev,
-                    host);
+    ps_.set(phys, structural);
+    handle_eviction(ps_cache_.insert(phys, structural, true), ev, host);
 }
 
 void
 Misb::sp_update(std::uint64_t structural, sim::Addr phys,
                 const TrainEvent& ev, PrefetchHost& host)
 {
-    sp_backing_[structural] = phys;
-    handle_eviction(sp_cache_.insert(structural, phys, true), false, ev,
-                    host);
+    sp_.set(structural, phys);
+    handle_eviction(sp_cache_.insert(structural, phys, true), ev, host);
+}
+
+std::uint32_t
+Misb::stream_victim() const
+{
+    const auto n = static_cast<std::uint32_t>(stream_expected_.size());
+    for (std::uint32_t i = n; i > 0; --i) {
+        if (stream_expected_[i - 1] == INVALID)
+            return i - 1;
+    }
+    return util::simd::min_index(stream_lru_.data(), n);
 }
 
 void
@@ -182,21 +269,13 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
     // stream starts pay for a PS lookup.
     sim::Cycle ps_avail = ev.now;
     std::uint64_t s = INVALID;
-    ActiveStream* stream = nullptr;
-    for (auto& st : streams_) {
-        if (st.valid && st.expected_phys == ev.block) {
-            s = st.structural;
-            st.lru = ++stream_clock_;
-            stream = &st;
-            break;
-        }
-        if (stream == nullptr || !st.valid ||
-            (stream->valid && st.lru < stream->lru)) {
-            stream = &st; // LRU fallback for allocation below
-        }
-    }
-    bool from_stream = s != INVALID;
+    const std::uint32_t hit = util::simd::find_first_eq(
+        stream_expected_.data(),
+        static_cast<std::uint32_t>(stream_expected_.size()), ev.block);
+    const bool from_stream = hit != util::simd::NPOS;
     if (from_stream) {
+        s = stream_structural_[hit];
+        stream_lru_[hit] = ++stream_clock_;
         // The stream advanced onto this trigger. MISB's metadata
         // prefetcher staged the trigger's PS entry ahead of time —
         // which hides the latency (the prediction below proceeds at
@@ -210,8 +289,8 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
                                              sim::BLOCK_SIZE, false,
                                              cfg_.charge_time);
             }
-            handle_eviction(ps_cache_.insert(ev.block, s, false), true,
-                            ev, host);
+            handle_eviction(ps_cache_.insert(ev.block, s, false), ev,
+                            host);
         }
     } else {
         s = ps_lookup(ev.block, ev, host, ps_avail);
@@ -230,12 +309,13 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
         }
         // Arm / advance the stream buffer for the predicted successor.
         if (first_target != INVALID) {
-            stream->expected_phys = first_target;
-            stream->structural = s + 1;
-            stream->lru = ++stream_clock_;
-            stream->valid = true;
+            const std::uint32_t i = from_stream ? hit : stream_victim();
+            stream_expected_[i] = first_target;
+            stream_structural_[i] = s + 1;
+            stream_lru_[i] = ++stream_clock_;
         } else if (from_stream) {
-            stream->valid = false; // stream ran off its mapped chunk
+            // The stream ran off its mapped chunk.
+            stream_expected_[hit] = INVALID;
         }
         if (cfg_.metadata_prefetch &&
             (s + cfg_.degree + 1) % cfg_.granule_entries ==
@@ -245,36 +325,17 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
             // hit on chip.
             std::uint64_t key =
                 (s / cfg_.granule_entries + 1) * cfg_.granule_entries;
-            if (sp_backing_.find(key) != sp_backing_.end() &&
-                !sp_cache_.find(key)) {
+            if (sp_.contains(key) && !sp_cache_.find(key))
                 fetch_granule(false, key, ev, host);
-            }
         }
     }
 
     // --- Train on the PC-localized pair (last, current).
-    TuEntry* e = nullptr;
-    TuEntry* victim = &tu_[0];
-    for (auto& t : tu_) {
-        if (t.valid && t.pc == ev.pc) {
-            e = &t;
-            break;
-        }
-        if (!t.valid)
-            victim = &t;
-        else if (victim->valid && t.lru < victim->lru)
-            victim = &t;
-    }
-    if (e == nullptr) {
-        *victim = {ev.pc, ev.block, ++tu_clock_, true};
+    const std::optional<sim::Addr> last = tu_.update(ev.pc, ev.block);
+    if (!last)
         return;
-    }
-    sim::Addr a = e->last;
+    sim::Addr a = *last;
     sim::Addr b = ev.block;
-    e->last = b;
-    e->lru = ++tu_clock_;
-    if (a == b)
-        return;
 
     sim::Cycle t_ignore = ev.now;
     std::uint64_t sa = ps_lookup(a, ev, host, t_ignore);
@@ -293,19 +354,19 @@ Misb::train(const TrainEvent& ev, PrefetchHost& host)
     }
     std::uint64_t sb = ps_lookup(b, ev, host, t_ignore);
     if (sb == expected) {
-        ps_confident_.insert(b);
+        ps_.set_confident(b);
     } else if (sb != INVALID && sb % cfg_.stream_length == 0) {
         // B anchors its own stream chunk (a loop header or stream
         // head). Re-mapping it would shift its whole stream one slot
         // every lap of a cyclic structure; ISB leaves heads in place
         // and lets A's chunk simply end here.
-    } else if (sb != INVALID && ps_confident_.erase(b) > 0) {
+    } else if (sb != INVALID && ps_.clear_confident(b)) {
         // First disagreement: keep the existing mapping (confidence
         // bit cleared); a second one will trigger the remap.
     } else {
         ps_update(b, expected, ev, host);
         sp_update(expected, b, ev, host);
-        ps_confident_.insert(b);
+        ps_.set_confident(b);
     }
 }
 

@@ -19,13 +19,16 @@
 #ifndef TRIAGE_PREFETCH_MISB_HPP
 #define TRIAGE_PREFETCH_MISB_HPP
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "prefetch/prefetcher.hpp"
+#include "prefetch/training_unit.hpp"
+#include "util/flat_map.hpp"
 
 namespace triage::prefetch {
 
@@ -120,6 +123,170 @@ class MetadataCache
     std::uint64_t misses_ = 0;
 };
 
+/**
+ * Off-chip metadata table: MISB's unbounded DRAM-resident PS or SP
+ * store, laid out the way MISB moves it. Keys group into granules of
+ * ROW_ENTRIES consecutive keys, one 64 B burst of 4-byte entries; a
+ * util::FlatMap indexes granule id (key / ROW_ENTRIES) -> row of a
+ * chunked row pool. A row holds the granule's values, a presence mask
+ * and a confidence mask (the PS side's 1-bit remap confidence, set and
+ * cleared independently of the value), so fetching a granule is one
+ * map probe plus one contiguous row scan.
+ */
+class GranuleTable
+{
+  public:
+    static constexpr std::uint32_t ROW_ENTRIES = 16;
+
+    /** Number of mapped keys. */
+    std::size_t size() const { return size_; }
+
+    /** Value mapped to @p key, or nullptr. */
+    const std::uint64_t*
+    find(std::uint64_t key) const
+    {
+        const Row* r = row_of(key / ROW_ENTRIES);
+        const std::uint32_t slot = key % ROW_ENTRIES;
+        return r != nullptr && (r->present >> slot & 1u) != 0
+                   ? &r->value[slot]
+                   : nullptr;
+    }
+
+    bool contains(std::uint64_t key) const { return find(key) != nullptr; }
+
+    /** Map (or remap) @p key to @p value. */
+    void
+    set(std::uint64_t key, std::uint64_t value)
+    {
+        Row& r = row_ref(key / ROW_ENTRIES);
+        const std::uint32_t bit = 1u << (key % ROW_ENTRIES);
+        size_ += (r.present & bit) == 0;
+        r.present |= bit;
+        r.value[key % ROW_ENTRIES] = value;
+    }
+
+    void
+    set_confident(std::uint64_t key)
+    {
+        row_ref(key / ROW_ENTRIES).confident |= 1u << (key % ROW_ENTRIES);
+    }
+
+    /** Clear @p key's confidence bit. @return it was set. */
+    bool
+    clear_confident(std::uint64_t key)
+    {
+        const std::uint32_t* ri = index_.find(key / ROW_ENTRIES);
+        if (ri == nullptr)
+            return false;
+        Row& r = row_at(*ri);
+        const std::uint32_t bit = 1u << (key % ROW_ENTRIES);
+        const bool was = (r.confident & bit) != 0;
+        r.confident &= ~bit;
+        return was;
+    }
+
+    bool
+    confident(std::uint64_t key) const
+    {
+        const Row* r = row_of(key / ROW_ENTRIES);
+        return r != nullptr &&
+               (r->confident >> (key % ROW_ENTRIES) & 1u) != 0;
+    }
+
+    /**
+     * Visit the mapped (key, value) pairs among the @p n keys starting
+     * at @p first, in ascending key order. @p f must not modify the
+     * table.
+     */
+    template <typename F>
+    void
+    for_range(std::uint64_t first, std::uint64_t n, F&& f) const
+    {
+        const std::uint64_t end = first + n;
+        for (std::uint64_t k = first; k < end;) {
+            const std::uint64_t g = k / ROW_ENTRIES;
+            const std::uint64_t base = g * ROW_ENTRIES;
+            const std::uint64_t stop = std::min(base + ROW_ENTRIES, end);
+            if (const Row* r = row_of(g)) {
+                const std::uint32_t lo = static_cast<std::uint32_t>(k - base);
+                const std::uint32_t hi =
+                    static_cast<std::uint32_t>(stop - base);
+                std::uint32_t m =
+                    r->present & ((1u << hi) - 1) & ~((1u << lo) - 1);
+                for (; m != 0; m &= m - 1) {
+                    const auto slot =
+                        static_cast<unsigned>(std::countr_zero(m));
+                    f(base + slot, r->value[slot]);
+                }
+            }
+            k = stop;
+        }
+    }
+
+    /** Visit every mapped (key, value) pair in ascending key order. */
+    template <typename F>
+    void
+    for_each(F&& f) const
+    {
+        for (std::uint64_t g : sorted_granules()) {
+            const Row& r = row_at(*index_.find(g));
+            for (std::uint32_t m = r.present; m != 0; m &= m - 1) {
+                const auto slot =
+                    static_cast<unsigned>(std::countr_zero(m));
+                f(g * ROW_ENTRIES + slot, r.value[slot]);
+            }
+        }
+    }
+
+    /**
+     * Count then (key, value) pairs in ascending key order, then the
+     * confident keys the same way: two equal tables serialize to
+     * identical bytes whatever their row-allocation history.
+     */
+    void checkpoint(sim::Snapshot& s);
+
+  private:
+    struct Row {
+        std::uint64_t value[ROW_ENTRIES];
+        std::uint32_t present;
+        std::uint32_t confident;
+    };
+    /** Rows per pool chunk: the pool grows without moving rows. */
+    static constexpr std::uint32_t CHUNK_ROWS = 1024;
+
+    Row&
+    row_at(std::uint32_t i)
+    {
+        return chunks_[i / CHUNK_ROWS][i % CHUNK_ROWS];
+    }
+
+    const Row&
+    row_at(std::uint32_t i) const
+    {
+        return chunks_[i / CHUNK_ROWS][i % CHUNK_ROWS];
+    }
+
+    const Row*
+    row_of(std::uint64_t granule) const
+    {
+        const std::uint32_t* ri = index_.find(granule);
+        return ri != nullptr ? &row_at(*ri) : nullptr;
+    }
+
+    /** Row of @p granule, allocating a zeroed one if absent. */
+    Row& row_ref(std::uint64_t granule);
+
+    std::vector<std::uint64_t> sorted_granules() const;
+
+    /** Drop every entry; the row pool's memory is kept. */
+    void clear();
+
+    util::FlatMap<std::uint64_t, std::uint32_t> index_;
+    std::vector<std::unique_ptr<Row[]>> chunks_;
+    std::uint32_t rows_ = 0; ///< rows in use (a prefix of the pool)
+    std::size_t size_ = 0;
+};
+
 /** MISB prefetcher. */
 class Misb final : public Prefetcher
 {
@@ -131,31 +298,22 @@ class Misb final : public Prefetcher
 
     const MetadataCache& ps_cache() const { return ps_cache_; }
     const MetadataCache& sp_cache() const { return sp_cache_; }
+    /** Off-chip physical -> structural store (tests). */
+    const GranuleTable& ps_table() const { return ps_; }
 
     void
     checkpoint(sim::Snapshot& s) override
     {
         Prefetcher::checkpoint(s);
         s.section("pf.misb");
-        s.io_map(ps_backing_);
-        s.io_map(sp_backing_);
-        s.io_set(ps_confident_);
-        s.io_set(mapped_);
+        ps_.checkpoint(s);
+        sp_.checkpoint(s);
         ps_cache_.checkpoint(s);
         sp_cache_.checkpoint(s);
-        s.io_vec(tu_, [](sim::Snapshot& a, TuEntry& e) {
-            a.io(e.pc);
-            a.io(e.last);
-            a.io(e.lru);
-            a.io(e.valid);
-        });
-        s.io(tu_clock_);
-        s.io_vec(streams_, [](sim::Snapshot& a, ActiveStream& e) {
-            a.io(e.expected_phys);
-            a.io(e.structural);
-            a.io(e.lru);
-            a.io(e.valid);
-        });
+        tu_.checkpoint(s);
+        s.io_pod_vec(stream_expected_);
+        s.io_pod_vec(stream_structural_);
+        s.io_pod_vec(stream_lru_);
         s.io(stream_clock_);
         s.io(next_structural_);
         s.io(pending_dirty_);
@@ -178,50 +336,40 @@ class Misb final : public Prefetcher
     void sp_update(std::uint64_t structural, sim::Addr phys,
                    const TrainEvent& ev, PrefetchHost& host);
     void handle_eviction(const MetadataCache::Evicted& ev_entry,
-                         bool is_ps, const TrainEvent& ev,
-                         PrefetchHost& host);
+                         const TrainEvent& ev, PrefetchHost& host);
     /** Fetch one off-chip granule into the on-chip cache. */
     sim::Cycle fetch_granule(bool is_ps, std::uint64_t first_key,
                              const TrainEvent& ev, PrefetchHost& host);
+    /** Stream buffer to (re)arm: the last invalid one, else the LRU. */
+    std::uint32_t stream_victim() const;
 
     MisbConfig cfg_;
-    // Off-chip backing store (DRAM-resident metadata, unbounded).
-    std::unordered_map<std::uint64_t, std::uint64_t> ps_backing_;
-    std::unordered_map<std::uint64_t, std::uint64_t> sp_backing_;
     /**
-     * 1-bit remap confidence per mapped physical block (part of the PS
-     * entry architecturally): a block is re-mapped to a new structural
-     * address only after two consecutive disagreements, so blocks with
-     * several valid successors stop churning the structural space.
+     * Off-chip backing store (DRAM-resident metadata, unbounded). A PS
+     * key doubles as MISB's Bloom filter ("is this address tracked at
+     * all?"), and PS confidence bits hold the 1-bit remap confidence
+     * per mapped physical block: a block is re-mapped to a new
+     * structural address only after two consecutive disagreements, so
+     * blocks with several valid successors stop churning the
+     * structural space.
      */
-    std::unordered_set<std::uint64_t> ps_confident_;
-    /** Architecturally a Bloom filter: is this address tracked at all? */
-    std::unordered_set<std::uint64_t> mapped_;
+    GranuleTable ps_;
+    GranuleTable sp_;
     MetadataCache ps_cache_;
     MetadataCache sp_cache_;
-
-    // Training unit: PC -> last physical block (small, LRU via clock).
-    struct TuEntry {
-        sim::Pc pc = 0;
-        sim::Addr last = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-    std::vector<TuEntry> tu_;
-    std::uint64_t tu_clock_ = 0;
+    TrainingUnit tu_;
 
     /**
      * Stream buffers (ISB's key structure): once a stream is active,
      * the next trigger's structural address is known (s+1), so no PS
      * lookup — on or off chip — is needed while the prediction holds.
+     * The match scan reads a packed array of expected physical blocks
+     * (INVALID = idle buffer); structural address and LRU stamp live
+     * in parallel arrays.
      */
-    struct ActiveStream {
-        sim::Addr expected_phys = 0;
-        std::uint64_t structural = 0;
-        std::uint64_t lru = 0;
-        bool valid = false;
-    };
-    std::vector<ActiveStream> streams_;
+    std::vector<sim::Addr> stream_expected_;
+    std::vector<std::uint64_t> stream_structural_;
+    std::vector<std::uint64_t> stream_lru_;
     std::uint64_t stream_clock_ = 0;
 
     std::uint64_t next_structural_ = 0;

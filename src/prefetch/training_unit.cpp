@@ -1,9 +1,9 @@
-#include "triage/training_unit.hpp"
+#include "prefetch/training_unit.hpp"
 
 #include "util/log.hpp"
 #include "util/simd_probe.hpp"
 
-namespace triage::core {
+namespace triage::prefetch {
 
 TrainingUnit::TrainingUnit(std::uint32_t entries)
     : capacity_(entries), valid_from_(entries), pcs_(entries),
@@ -53,4 +53,4 @@ TrainingUnit::last_of(sim::Pc pc) const
     return std::nullopt;
 }
 
-} // namespace triage::core
+} // namespace triage::prefetch

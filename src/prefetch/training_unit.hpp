@@ -1,11 +1,12 @@
 /**
  * @file
- * Triage's Training Unit: remembers the most recently accessed address
- * for each load PC, producing PC-localized correlated pairs (A, B)
- * (paper Section 3.1, "Training").
+ * Training Unit: remembers the most recently accessed address for each
+ * load PC, producing PC-localized correlated pairs (A, B) (paper
+ * Section 3.1, "Training"). Shared by Triage and MISB/ISB, which train
+ * on the same PC-localized pairs.
  */
-#ifndef TRIAGE_CORE_TRAINING_UNIT_HPP
-#define TRIAGE_CORE_TRAINING_UNIT_HPP
+#ifndef TRIAGE_PREFETCH_TRAINING_UNIT_HPP
+#define TRIAGE_PREFETCH_TRAINING_UNIT_HPP
 
 #include <cstdint>
 #include <optional>
@@ -14,7 +15,7 @@
 #include "sim/snapshot.hpp"
 #include "sim/types.hpp"
 
-namespace triage::core {
+namespace triage::prefetch {
 
 /**
  * Small fully-associative PC -> last-address table with LRU.
@@ -47,7 +48,7 @@ class TrainingUnit
     void
     checkpoint(sim::Snapshot& s)
     {
-        s.section("triage.tu");
+        s.section("training_unit");
         s.io(valid_from_);
         s.io_pod_vec(pcs_);
         s.io_pod_vec(last_);
@@ -65,6 +66,6 @@ class TrainingUnit
     std::uint64_t clock_ = 0;
 };
 
-} // namespace triage::core
+} // namespace triage::prefetch
 
-#endif // TRIAGE_CORE_TRAINING_UNIT_HPP
+#endif // TRIAGE_PREFETCH_TRAINING_UNIT_HPP

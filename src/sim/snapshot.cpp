@@ -7,9 +7,12 @@ namespace {
 /** Archive format magic ("TRSN") + layout version. Version 3: flat
  *  hot-path maps serialize as sorted (key, value) pairs and the
  *  tag-compressor probe table is rebuilt on load instead of stored
- *  (docs/performance.md §Hot-path v2). */
+ *  (docs/performance.md §Hot-path v2). Version 4: MISB's off-chip
+ *  store is a granule table (no separate Bloom-filter set, confidence
+ *  bits per entry) and its metadata caches, training unit and stream
+ *  buffers serialize as packed arrays. */
 constexpr std::uint32_t MAGIC = 0x5452534eu;
-constexpr std::uint32_t FORMAT_VERSION = 3;
+constexpr std::uint32_t FORMAT_VERSION = 4;
 
 /**
  * FNV-1a folded over 8-byte words (byte-wise tail). Warm blobs run to

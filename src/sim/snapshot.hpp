@@ -32,7 +32,6 @@
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/flat_map.hpp"
@@ -218,29 +217,6 @@ class Snapshot
                 io_pod(k);
                 io_pod(v);
                 m.ref(k) = v;
-            }
-        }
-    }
-
-    /** Unordered set with POD key, sorted like io_map. */
-    template <typename K>
-    void
-    io_set(std::unordered_set<K>& s)
-    {
-        std::uint64_t n = s.size();
-        io(n);
-        if (saving()) {
-            std::vector<K> keys(s.begin(), s.end());
-            std::sort(keys.begin(), keys.end());
-            for (K k : keys)
-                io_pod(k);
-        } else {
-            s.clear();
-            s.reserve(static_cast<std::size_t>(n));
-            for (std::uint64_t i = 0; i < n; ++i) {
-                K k{};
-                io_pod(k);
-                s.insert(k);
             }
         }
     }

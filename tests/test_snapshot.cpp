@@ -168,6 +168,38 @@ TEST(SnapshotArchive, OpenRejectsMismatchedFrames)
     EXPECT_FALSE(sim::Snapshot::open(truncated, VER, FP, out));
 }
 
+TEST(SnapshotArchive, OpenRejectsOlderFormatVersion)
+{
+    // Frame: magic (4 B), then the little-endian format version. A
+    // blob sealed by a format-3 build (whose MISB section carried a
+    // separate Bloom-filter set) must be a miss, never a restore.
+    sim::Snapshot save;
+    std::uint64_t v = 42;
+    save.io(v);
+    const sim::SnapshotBlob blob = save.seal(VER, FP);
+    ASSERT_GE(blob.size(), 8u);
+    const std::uint32_t fmt = blob[4] | blob[5] << 8 | blob[6] << 16 |
+                              static_cast<std::uint32_t>(blob[7]) << 24;
+    EXPECT_EQ(fmt, 4u);
+
+    sim::SnapshotBlob v3 = blob;
+    v3[4] = 3;
+    v3[5] = v3[6] = v3[7] = 0;
+    sim::Snapshot out;
+    EXPECT_FALSE(sim::Snapshot::open(v3, VER, FP, out));
+    EXPECT_TRUE(sim::Snapshot::open(blob, VER, FP, out));
+}
+
+TEST(SnapshotArchiveDeathTest, OpenOrDieRejectsOlderFormatVersion)
+{
+    sim::Snapshot save;
+    std::uint64_t v = 42;
+    save.io(v);
+    sim::SnapshotBlob v3 = save.seal(VER, FP);
+    v3[4] = 3;
+    EXPECT_DEATH(sim::Snapshot::open_or_die(v3, VER, FP), "rejected");
+}
+
 TEST(SnapshotArchiveDeathTest, OpenOrDieOnCorruption)
 {
     sim::Snapshot save;

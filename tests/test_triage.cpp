@@ -13,13 +13,14 @@
 #include "triage/metadata_store.hpp"
 #include "triage/partition.hpp"
 #include "triage/tag_compressor.hpp"
-#include "triage/training_unit.hpp"
+#include "prefetch/training_unit.hpp"
 #include "triage/triage.hpp"
 #include "util/bitops.hpp"
 #include "util/rng.hpp"
 
 using namespace triage;
 using namespace triage::core;
+using triage::prefetch::TrainingUnit;
 
 // ---------------------------------------------------------------------
 // TrainingUnit

@@ -14,7 +14,8 @@
  *   jobs     a sweep executed on a parallel lab (--jobs=N) vs the same
  *            sweep run serially;
  *   ckpt     a run forked from a memoized warm-state checkpoint vs the
- *            same run warming up cold (single-core and 2-core mix);
+ *            same run warming up cold (single-core and 2-core mix with
+ *            Triage, 4-core mix with MISB);
  *   stream   a trace replayed through the streaming frontend (bounded
  *            memory, plus a gzip leg and a warm-checkpoint fork) vs
  *            the same trace fully loaded in memory.
@@ -262,7 +263,8 @@ pair_jobs(const Options& o)
 /**
  * A measurement forked from a memoized warm checkpoint must be
  * bit-identical to one that warmed up cold in the same process.
- * Covers both system kinds: a single-core run and a 2-core mix. Each
+ * Covers both system kinds: a single-core run and a 2-core mix, plus a
+ * 4-core MISB mix for the off-chip metadata tables' snapshot path. Each
  * sub-pair runs three times — cold (no store), producing (cold warmup
  * + snapshot publish), and forked (restore from the published blob) —
  * and both store-backed runs must match the cold one.
@@ -302,6 +304,13 @@ pair_ckpt(const Options& o)
     mix.pf_spec = "triage_dyn";
     mix.degree = o.degree;
     check("mix2", mix);
+
+    exec::Job misb = base_job(o);
+    misb.benchmark.clear();
+    misb.mix = {o.benchmark, "omnetpp", "soplex_k", "xalancbmk"};
+    misb.pf_spec = "misb";
+    misb.degree = o.degree;
+    check("misb-mix4", misb);
     return ok;
 }
 
