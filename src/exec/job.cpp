@@ -145,7 +145,8 @@ JobKey
 warm_prefix(const JobKey& key)
 {
     JobKey warm = key;
-    warm.measure_records = 0;
+    if (key.replica == 0)
+        warm.measure_records = 0;
     return warm;
 }
 
@@ -207,7 +208,7 @@ warm_with_checkpoint(CheckpointStore* ckpt, const JobKey& key,
 } // namespace
 
 sim::RunResult
-run_job(const Job& job, CheckpointStore* ckpt)
+run_job(const Job& job, CheckpointStore* ckpt, sim::MeasureTaps* taps)
 {
     const JobKey key = key_of(job);
     // Replica 0 keeps the benchmark table's canonical seeds (and thus
@@ -240,7 +241,7 @@ run_job(const Job& job, CheckpointStore* ckpt)
             ckpt, key,
             [&] { sys.run_warmup(job.scale.warmup_records, quantum); },
             [&](sim::Snapshot& s) { sys.checkpoint_warm(s); });
-        return sys.run_measure(job.scale.measure_records, quantum);
+        return sys.run_measure(job.scale.measure_records, quantum, taps);
     }
 
     sim::SingleCoreSystem sys(job.config);
@@ -261,7 +262,7 @@ run_job(const Job& job, CheckpointStore* ckpt)
         ckpt, key,
         [&] { sys.run_warmup(job.scale.warmup_records); },
         [&](sim::Snapshot& s) { sys.checkpoint_warm(s); });
-    return sys.run_measure(job.scale.measure_records);
+    return sys.run_measure(job.scale.measure_records, taps);
 }
 
 sim::RunResult

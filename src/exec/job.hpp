@@ -23,6 +23,7 @@
 #include "obs/observer.hpp"
 #include "prefetch/prefetcher.hpp"
 #include "sim/config.hpp"
+#include "sim/measure_taps.hpp"
 #include "sim/run_stats.hpp"
 #include "sim/trace.hpp"
 #include "stats/experiment.hpp"
@@ -59,6 +60,8 @@ struct Job {
      * uses the benchmark table's canonical seed (today's numbers);
      * replica N > 0 perturbs the workload RNG with a stream derived
      * from the JobKey, so each replica is reproducible on its own.
+     * That stream depends on the measure length too, so replicas
+     * N > 0 never share warm state across windows (warm_prefix).
      */
     std::uint32_t replica = 0;
 
@@ -156,8 +159,10 @@ JobKey key_of(const Job& job);
  * The warm prefix of @p key: everything the warm state depends on.
  * The measurement length is zeroed out — two jobs differing only in
  * it share one warm checkpoint (the warm point predates the
- * measurement window). Its str() doubles as the checkpoint
- * fingerprint.
+ * measurement window) and can be served by one run through measure
+ * taps (Lab). Replicas N > 0 keep it: their workload stream is
+ * derived from the whole key, measure length included. Its str()
+ * doubles as the checkpoint fingerprint.
  */
 JobKey warm_prefix(const JobKey& key);
 
@@ -175,8 +180,13 @@ sim::RunResult run_job(const Job& job);
  * restored from a cached snapshot (or simulated once and published
  * for the next job sharing it). Bit-identical to the plain overload.
  * Null @p ckpt degrades to the plain path.
+ *
+ * Every window in @p taps (may be null) gets the RunResult that this
+ * job with measure_records set to that window would return; windows
+ * must not exceed the job's own (docs/parallel-runs.md §measure-taps).
  */
-sim::RunResult run_job(const Job& job, CheckpointStore* ckpt);
+sim::RunResult run_job(const Job& job, CheckpointStore* ckpt,
+                       sim::MeasureTaps* taps = nullptr);
 
 } // namespace triage::exec
 

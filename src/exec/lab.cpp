@@ -1,5 +1,6 @@
 #include "exec/lab.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -19,6 +20,13 @@ progress_label(const JobKey& key)
     if (key.replica != 0)
         s += " (replica " + std::to_string(key.replica) + ")";
     return s;
+}
+
+std::string
+window_label(const JobKey& key)
+{
+    return key.workload + " / " + key.pf + " @" +
+           std::to_string(key.measure_records);
 }
 
 } // namespace
@@ -75,10 +83,21 @@ Lab::execute(Task& task, unsigned worker_id,
         // snapshot save/restore) nests under "job.", so summed job
         // time is the wall-clock the Lab's workers spent simulating.
         obs::prof::ProfScope prof("job");
-        r = run_job(task.job, ckpt_.get());
+        r = run_job(task.job, ckpt_.get(), task.taps.get());
     }
     const auto ended = std::chrono::steady_clock::now();
     lock.lock();
+    if (task.taps != nullptr) {
+        TRIAGE_ASSERT(task.tapped.empty(), "host ended with taps unserved");
+        auto it = hosts_.find(warm_prefix(task.key));
+        auto& hosts = it->second;
+        hosts.erase(std::find_if(hosts.begin(), hosts.end(),
+                                 [&](const std::shared_ptr<Task>& h) {
+                                     return h.get() == &task;
+                                 }));
+        if (hosts.empty())
+            hosts_.erase(it);
+    }
     if (worker_stats_.size() < static_cast<std::size_t>(n_workers_))
         worker_stats_.resize(n_workers_);
     auto& ws = worker_stats_[worker_id];
@@ -129,6 +148,70 @@ Lab::ensure_workers()
         workers_.emplace_back([this, w] { worker_loop(w); });
 }
 
+void
+Lab::make_host(const std::shared_ptr<Task>& task)
+{
+    Task* host = task.get();
+    host->taps = std::make_unique<sim::MeasureTaps>(
+        [this, host](std::uint64_t records, sim::RunResult r) {
+            deliver(*host, records, std::move(r));
+        });
+}
+
+void
+Lab::deliver(Task& host, std::uint64_t records, sim::RunResult r)
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    auto it = host.tapped.find(records);
+    TRIAGE_ASSERT(it != host.tapped.end(), "tap result for no job");
+    Task& tap = *it->second;
+    host.tapped.erase(it);
+    tap.result = std::move(r);
+    tap.done = true;
+    ++taps_served_;
+    task_done_.notify_all();
+}
+
+bool
+Lab::attach(const std::shared_ptr<Task>& task)
+{
+    auto it = hosts_.find(warm_prefix(task->key));
+    if (it == hosts_.end())
+        return false;
+    const std::uint64_t window = task->key.measure_records;
+    for (const auto& host : it->second) {
+        // add() refuses once the host has passed where a run of this
+        // window would stop; the job then forks from the host's
+        // published warm checkpoint instead.
+        if (host->key.measure_records >= window &&
+            host->taps->add(window)) {
+            host->tapped.emplace(window, task);
+            TRIAGE_LOG_INFO("[tap] ", window_label(task->key), " on ",
+                            window_label(host->key));
+            return true;
+        }
+    }
+    for (auto& host : it->second) {
+        if (host->started)
+            continue;
+        // A queued host with a shorter window: run this job in its
+        // place, serving it and everything it had taken on as taps.
+        std::shared_ptr<Task> old = host;
+        make_host(task);
+        task->tapped = std::move(old->tapped);
+        task->tapped.emplace(old->key.measure_records, old);
+        for (const auto& entry : task->tapped)
+            task->taps->add(entry.first);
+        old->taps.reset();
+        *std::find(queue_.begin(), queue_.end(), old) = task;
+        host = task;
+        TRIAGE_LOG_INFO("[tap] ", window_label(old->key), " on ",
+                        window_label(task->key));
+        return true;
+    }
+    return false;
+}
+
 Lab::JobId
 Lab::submit(Job job)
 {
@@ -158,6 +241,14 @@ Lab::submit(Job job)
         // the hand-rolled loops this Lab replaces.
         execute(*task, 0, lock);
         return id;
+    }
+    // Measure taps ride on the warm-checkpoint switch; observability
+    // jobs neither tap nor host (their bundle must see a whole run).
+    if (ckpt_ != nullptr && memoizable) {
+        if (attach(task))
+            return id;
+        make_host(task);
+        hosts_[warm_prefix(task->key)].push_back(task);
     }
     queue_.push_back(std::move(task));
     ensure_workers();
@@ -202,6 +293,13 @@ Lab::runs_executed() const
     return executed_;
 }
 
+std::size_t
+Lab::taps_served() const
+{
+    std::unique_lock<std::mutex> lock(mu_);
+    return taps_served_;
+}
+
 std::vector<obs::perfetto::JobSpan>
 Lab::job_spans() const
 {
@@ -226,6 +324,7 @@ Lab::publish_profile() const
     auto& prof = obs::prof::Profiler::instance();
     for (const auto& ws : worker_stats())
         prof.set_worker(ws);
+    prof.set_counter("lab.taps", static_cast<double>(taps_served()));
     if (ckpt_ == nullptr)
         return;
     const CheckpointStore::Stats s = ckpt_->stats();

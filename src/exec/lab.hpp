@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -39,8 +40,10 @@ struct LabOptions {
     /**
      * Fork jobs sharing a warm prefix from memoized warm-state
      * checkpoints instead of re-simulating their warmup
-     * (docs/parallel-runs.md §checkpointing). Bit-identical to cold
-     * warmup; only the wall clock changes.
+     * (docs/parallel-runs.md §checkpointing), and, with more than one
+     * worker, serve shorter windows of a warm prefix from the run of a
+     * longer one (§measure-taps). Bit-identical to cold runs; only
+     * the wall clock changes.
      */
     bool warm_checkpoints = true;
 
@@ -62,6 +65,11 @@ struct LabOptions {
  * blocks until that job finishes. With one worker, submit() runs the
  * job synchronously on the calling thread — byte-for-byte today's
  * serial loop. Not reentrant: do not submit from inside a job.
+ *
+ * With warm checkpoints on and more than one worker, a job whose
+ * fusion key (warm_prefix of its key) matches a queued or running
+ * host with a window at least as long rides along as a measure tap
+ * of that host instead of running (docs/parallel-runs.md §measure-taps).
  */
 class Lab
 {
@@ -96,8 +104,12 @@ class Lab
     /** Jobs submitted so far (JobIds are 0..size()-1). */
     std::size_t size() const;
 
-    /** Distinct simulations actually executed (memo hits excluded). */
+    /** Distinct simulations actually executed (memo hits and taps
+     *  excluded). */
     std::size_t runs_executed() const;
+
+    /** Jobs served as a measure tap of a longer run. */
+    std::size_t taps_served() const;
 
     /** Effective worker count. */
     unsigned workers() const { return n_workers_; }
@@ -126,8 +138,9 @@ class Lab
 
     /**
      * Push this Lab's telemetry into the host profiler: worker
-     * accounting rows plus the CheckpointStore counters under
-     * "ckpt.*" (docs/observability.md §10). Call after wait_all()
+     * accounting rows, the taps served as "lab.taps", and the
+     * CheckpointStore counters under "ckpt.*"
+     * (docs/observability.md §10). Call after wait_all()
      * when profiling is enabled; a disarmed profiler still accepts
      * the counters (they are summary data, not phase timings).
      */
@@ -148,12 +161,31 @@ class Lab
         bool started = false;
         bool done = false;
         sim::RunResult result;
+        /** Hosts only: the tap windows this run serves, and the job
+         *  waiting on each (removed once served). */
+        std::unique_ptr<sim::MeasureTaps> taps;
+        std::map<std::uint64_t, std::shared_ptr<Task>> tapped;
     };
 
     void worker_loop(unsigned worker_id);
     void execute(Task& task, unsigned worker_id,
                  std::unique_lock<std::mutex>& lock);
     void ensure_workers();
+
+    /** Give @p task a tap list whose results land in its tapped jobs. */
+    void make_host(const std::shared_ptr<Task>& task);
+
+    /**
+     * Serve @p task from a host with its fusion key: as a tap of one
+     * with a window at least as long that can still stop where
+     * @p task would, or by taking a queued shorter host's place and
+     * serving it. @return false when @p task must run on its own.
+     */
+    bool attach(const std::shared_ptr<Task>& task);
+
+    /** MeasureTaps sink of @p host: complete the job tapped at
+     *  @p records. */
+    void deliver(Task& host, std::uint64_t records, sim::RunResult r);
 
     unsigned n_workers_;
     std::unique_ptr<CheckpointStore> ckpt_;
@@ -166,9 +198,14 @@ class Lab
     std::condition_variable task_done_;
     std::vector<std::shared_ptr<Task>> submitted_; ///< by JobId
     std::unordered_map<JobKey, std::shared_ptr<Task>, JobKeyHash> memo_;
+    /** Queued and running hosts by fusion key. */
+    std::unordered_map<JobKey, std::vector<std::shared_ptr<Task>>,
+                       JobKeyHash>
+        hosts_;
     std::deque<std::shared_ptr<Task>> queue_;
     std::vector<std::thread> workers_;
     std::size_t executed_ = 0;
+    std::size_t taps_served_ = 0;
     bool stop_ = false;
 };
 

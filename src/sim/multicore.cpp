@@ -109,8 +109,75 @@ MultiCoreSystem::checkpoint_warm(Snapshot& s)
         warmed_ = true;
 }
 
+/** One measurement window's per-core bookkeeping: the run's own, or a
+ *  tap's. A core's end is taken in the iteration it crosses the window. */
+struct MultiCoreSystem::Window {
+    std::uint64_t records;
+    std::vector<Cycle> end_cycle;
+    std::vector<CoreStats> final_stats;
+    std::vector<bool> done;
+    unsigned remaining;
+
+    Window(std::uint64_t r, unsigned n)
+        : records(r), end_cycle(n, 0), final_stats(n), done(n, false),
+          remaining(n)
+    {
+    }
+};
+
+std::uint64_t
+MultiCoreSystem::measured(unsigned core) const
+{
+    return cores_[core]->stats().mem_records - base_[core].mem_records;
+}
+
+bool
+MultiCoreSystem::mark_crossed(Window& w) const
+{
+    for (unsigned c = 0; c < n_cores_; ++c) {
+        if (!w.done[c] && measured(c) >= w.records) {
+            w.done[c] = true;
+            w.end_cycle[c] = cores_[c]->drain();
+            w.final_stats[c] = cores_[c]->stats();
+            --w.remaining;
+        }
+    }
+    return w.remaining == 0;
+}
+
 RunResult
-MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
+MultiCoreSystem::compose(const Window& w)
+{
+    RunResult res;
+    res.per_core.resize(n_cores_);
+    Cycle max_end = 0;
+    Cycle min_start = start_cycle_[0];
+    for (unsigned c = 0; c < n_cores_; ++c) {
+        RunStats& s = res.per_core[c];
+        s.instructions =
+            w.final_stats[c].instructions - base_[c].instructions;
+        s.mem_records = w.final_stats[c].mem_records - base_[c].mem_records;
+        s.cycles = w.end_cycle[c] - start_cycle_[c];
+        s.l1 = mem_.l1(c).stats();
+        s.l2 = mem_.l2(c).stats();
+        if (mem_.prefetcher(c) != nullptr)
+            s.l2pf = mem_.prefetcher(c)->snapshot();
+        if (mem_.l1_stride(c) != nullptr)
+            s.l1_stride = mem_.l1_stride(c)->snapshot();
+        s.energy = mem_.metadata_energy(c);
+        s.avg_metadata_ways = mem_.avg_metadata_ways(c, w.end_cycle[c]);
+        max_end = std::max(max_end, w.end_cycle[c]);
+        min_start = std::min(min_start, start_cycle_[c]);
+    }
+    res.llc = mem_.llc().stats();
+    res.traffic = mem_.dram().traffic();
+    res.span = max_end - min_start;
+    return res;
+}
+
+RunResult
+MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
+                             MeasureTaps* taps)
 {
     TRIAGE_ASSERT(warmed_,
                   "run_measure needs a warm system (run_warmup or a "
@@ -119,7 +186,7 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
     obs::prof::ProfScope prof("measure");
 
     if (n_cores_ == 1) {
-        er_->begin_measure(measure_records, obs_);
+        er_->begin_measure(measure_records, obs_, taps);
         while (er_->step_epoch()) {
         }
         RunResult r = er_->finish();
@@ -130,14 +197,11 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
     // Global measurement start.
     Cycle global = warm_global_;
     mem_.clear_stats(global);
-    std::vector<CoreStats> base(n_cores_);
-    std::vector<Cycle> start_cycle(n_cores_);
-    std::vector<Cycle> end_cycle(n_cores_, 0);
-    std::vector<CoreStats> final_stats(n_cores_);
-    std::vector<bool> done(n_cores_, false);
+    base_.resize(n_cores_);
+    start_cycle_.resize(n_cores_);
     for (unsigned c = 0; c < n_cores_; ++c) {
-        base[c] = cores_[c]->stats();
-        start_cycle[c] = cores_[c]->now();
+        base_[c] = cores_[c]->stats();
+        start_cycle_[c] = cores_[c]->now();
     }
 
     if (obs_ != nullptr) {
@@ -161,31 +225,44 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
     // closed epoch covers at least [begin, end) records on every core.
     auto progress = [&] {
         std::uint64_t p = measure_records;
-        for (unsigned c = 0; c < n_cores_; ++c) {
-            std::uint64_t r =
-                cores_[c]->stats().mem_records - base[c].mem_records;
-            p = std::min(p, r);
-        }
+        for (unsigned c = 0; c < n_cores_; ++c)
+            p = std::min(p, measured(c));
         return p;
     };
 
     // Run until every core finishes its measurement window. Each
     // iteration is one bounded quantum per core, ending where the
-    // sampler and verifier observe a consistent system.
-    unsigned remaining = n_cores_;
-    while (remaining > 0) {
+    // sampler, the verifier and the taps observe a consistent system.
+    Window own(measure_records, n_cores_);
+    std::vector<Window> tapped;
+    std::vector<std::uint64_t> added;
+    while (own.remaining > 0) {
         for (unsigned c = 0; c < n_cores_; ++c)
             advance(c, global);
         global += quantum;
-        for (unsigned c = 0; c < n_cores_; ++c) {
-            if (done[c])
-                continue;
-            if (cores_[c]->stats().mem_records - base[c].mem_records >=
-                measure_records) {
-                done[c] = true;
-                end_cycle[c] = cores_[c]->drain();
-                final_stats[c] = cores_[c]->stats();
-                --remaining;
+        if (taps != nullptr) {
+            // A window added since the last collect was accepted while
+            // every core was still short of it, so each crossing of it
+            // happened in this iteration, as in a run of that length.
+            std::uint64_t most = 0;
+            for (unsigned c = 0; c < n_cores_; ++c)
+                most = std::max(most, measured(c));
+            taps->collect(most + 1, added);
+            for (std::uint64_t w : added) {
+                TRIAGE_ASSERT(w <= measure_records,
+                              "tap window longer than the run");
+                tapped.emplace_back(w, n_cores_);
+            }
+            added.clear();
+        }
+        mark_crossed(own);
+        for (std::size_t i = 0; i < tapped.size();) {
+            if (mark_crossed(tapped[i])) {
+                taps->emit(tapped[i].records, compose(tapped[i]));
+                tapped.erase(tapped.begin() +
+                             static_cast<std::ptrdiff_t>(i));
+            } else {
+                ++i;
             }
         }
         if (sampling || verifier != nullptr) {
@@ -200,35 +277,17 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum)
             }
         }
     }
+    if (taps != nullptr) {
+        taps->collect(MeasureTaps::CLOSED, added);
+        TRIAGE_ASSERT(added.empty() && tapped.empty(),
+                      "tap window left unserved at the end of the run");
+    }
     if (sampling)
         obs_->sampler.finalize(measure_records);
     if (verifier != nullptr)
         verifier->on_run_end();
 
-    RunResult res;
-    res.per_core.resize(n_cores_);
-    Cycle max_end = 0;
-    Cycle min_start = start_cycle[0];
-    for (unsigned c = 0; c < n_cores_; ++c) {
-        RunStats& s = res.per_core[c];
-        s.instructions =
-            final_stats[c].instructions - base[c].instructions;
-        s.mem_records = final_stats[c].mem_records - base[c].mem_records;
-        s.cycles = end_cycle[c] - start_cycle[c];
-        s.l1 = mem_.l1(c).stats();
-        s.l2 = mem_.l2(c).stats();
-        if (mem_.prefetcher(c) != nullptr)
-            s.l2pf = mem_.prefetcher(c)->snapshot();
-        if (mem_.l1_stride(c) != nullptr)
-            s.l1_stride = mem_.l1_stride(c)->snapshot();
-        s.energy = mem_.metadata_energy(c);
-        s.avg_metadata_ways = mem_.avg_metadata_ways(c, end_cycle[c]);
-        max_end = std::max(max_end, end_cycle[c]);
-        min_start = std::min(min_start, start_cycle[c]);
-    }
-    res.llc = mem_.llc().stats();
-    res.traffic = mem_.dram().traffic();
-    res.span = max_end - min_start;
+    RunResult res = compose(own);
 
     // The registry's bound stats and formulas point into this system,
     // and none of them change once the run is over — snapshot them now

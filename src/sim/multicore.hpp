@@ -22,6 +22,7 @@
 #include "cache/hierarchy.hpp"
 #include "obs/observer.hpp"
 #include "sim/cpu.hpp"
+#include "sim/measure_taps.hpp"
 #include "sim/run_stats.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/trace.hpp"
@@ -67,9 +68,15 @@ class MultiCoreSystem
      */
     void checkpoint_warm(Snapshot& s);
 
-    /** Phase 2: the measurement window, from the warm point. */
+    /**
+     * Phase 2: the measurement window, from the warm point. Every
+     * window of @p taps (may be null; see MeasureTaps) is emitted at
+     * the end of the quantum iteration in which its last core
+     * crosses it.
+     */
     RunResult run_measure(std::uint64_t measure_records,
-                          Cycle quantum = 1000);
+                          Cycle quantum = 1000,
+                          MeasureTaps* taps = nullptr);
 
     /** Kept only for perfbench/traced.cpp; forwards to the above. */
     RunResult
@@ -91,8 +98,21 @@ class MultiCoreSystem
     void set_observability(obs::Observability* o) { obs_ = o; }
 
   private:
+    struct Window;
+
     /** Advance @p core to @p target, restarting its workload at EOF. */
     void advance(unsigned core, Cycle target);
+
+    /** Records @p core has executed since the measurement start. */
+    std::uint64_t measured(unsigned core) const;
+
+    /** Mark the cores that crossed @p w in this quantum iteration.
+     *  @return true once every core has. */
+    bool mark_crossed(Window& w) const;
+
+    /** The result of @p w, whose every core has crossed it: the run's
+     *  own result and every tap's are built here. */
+    RunResult compose(const Window& w);
 
     MachineConfig cfg_;
     unsigned n_cores_;
@@ -105,6 +125,9 @@ class MultiCoreSystem
     std::unique_ptr<EpochRun> er_;
     /** Global cycle target at the warm point (n_cores_ > 1). */
     Cycle warm_global_ = 0;
+    /** Per-core stats and clock at the measurement start. */
+    std::vector<CoreStats> base_;
+    std::vector<Cycle> start_cycle_;
     /** run_warmup/checkpoint_warm completed; consumed by run_measure. */
     bool warmed_ = false;
 };

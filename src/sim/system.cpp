@@ -35,11 +35,13 @@ EpochRun::run_warmup(std::uint64_t warmup_records)
 
 void
 EpochRun::begin_measure(std::uint64_t measure_records,
-                        obs::Observability* obs)
+                        obs::Observability* obs, MeasureTaps* taps)
 {
     TRIAGE_ASSERT(phase_ == Phase::Warm,
                   "EpochRun: begin_measure needs the warm state");
     obs_ = obs;
+    taps_ = taps;
+    tap_windows_.clear();
     measure_records_ = measure_records;
     done_ = 0;
 
@@ -65,20 +67,47 @@ EpochRun::epoch_len() const
     return obs::RunVerifier::DEFAULT_EPOCH_RECORDS;
 }
 
+std::uint64_t
+EpochRun::serve_taps(std::uint64_t limit)
+{
+    if (taps_ == nullptr)
+        return limit;
+    taps_->collect(limit, tap_windows_);
+    std::uint64_t stop = limit;
+    std::size_t keep = 0;
+    for (std::uint64_t w : tap_windows_) {
+        TRIAGE_ASSERT(w >= done_ && w <= measure_records_,
+                      "EpochRun: tap window outside the unmeasured part "
+                      "of the run");
+        if (w == done_) {
+            taps_->emit(w, compose());
+        } else {
+            stop = std::min(stop, w);
+            tap_windows_[keep++] = w;
+        }
+    }
+    tap_windows_.resize(keep);
+    return stop;
+}
+
 bool
 EpochRun::step_epoch()
 {
     TRIAGE_ASSERT(phase_ == Phase::Measuring,
                   "EpochRun: step_epoch outside the measurement window");
     if (done_ >= measure_records_) {
+        serve_taps(MeasureTaps::CLOSED);
         phase_ = Phase::Done;
         return false;
     }
     obs::prof::ProfScope prof("epoch");
-    const std::uint64_t chunk =
-        std::min(epoch_len(), measure_records_ - done_);
-    core_.run_records(chunk);
-    done_ += chunk;
+    const std::uint64_t end =
+        done_ + std::min(epoch_len(), measure_records_ - done_);
+    while (done_ < end) {
+        const std::uint64_t stop = serve_taps(end);
+        core_.run_records(stop - done_);
+        done_ = stop;
+    }
     if (obs_ != nullptr && obs_->sampler.enabled())
         obs_->sampler.sample(done_);
     obs::RunVerifier* verifier = obs_ != nullptr ? obs_->verifier : nullptr;
@@ -92,11 +121,24 @@ EpochRun::finish()
 {
     TRIAGE_ASSERT(phase_ == Phase::Done,
                   "EpochRun: finish before the window completed");
-    Cycle end = core_.drain();
     obs::RunVerifier* verifier = obs_ != nullptr ? obs_->verifier : nullptr;
     if (verifier != nullptr)
         verifier->on_run_end();
+    RunResult res = compose();
 
+    // The registry's bound stats and formulas point into this system,
+    // and none of them change once the run is over — snapshot them now
+    // so harnesses (e.g. stats::run_single callers emitting
+    // --stats-json) can dump the registry after the system dies.
+    if (obs_ != nullptr)
+        obs_->freeze();
+    return res;
+}
+
+RunResult
+EpochRun::compose() const
+{
+    const Cycle end = core_.drain();
     RunResult res;
     RunStats s;
     s.instructions = core_.stats().instructions - before_.instructions;
@@ -114,13 +156,6 @@ EpochRun::finish()
     res.llc = mem_.llc().stats();
     res.traffic = mem_.dram().traffic();
     res.span = end - start_;
-
-    // The registry's bound stats and formulas point into this system,
-    // and none of them change once the run is over — snapshot them now
-    // so harnesses (e.g. stats::run_single callers emitting
-    // --stats-json) can dump the registry after the system dies.
-    if (obs_ != nullptr)
-        obs_->freeze();
     return res;
 }
 
@@ -130,9 +165,10 @@ EpochRun::checkpoint(Snapshot& s)
     if (s.saving()) {
         TRIAGE_ASSERT(
             phase_ == Phase::Warm ||
-                (phase_ == Phase::Measuring && obs_ == nullptr),
+                (phase_ == Phase::Measuring && obs_ == nullptr &&
+                 taps_ == nullptr),
             "EpochRun checkpoints are taken at the warm point, or at an "
-            "epoch boundary with no observability attached");
+            "epoch boundary with no observability or taps attached");
     }
     s.section("epoch_run");
     auto ph = static_cast<std::uint8_t>(phase_);
@@ -143,6 +179,8 @@ EpochRun::checkpoint(Snapshot& s)
                       "EpochRun snapshot taken at a non-resumable phase");
         phase_ = static_cast<Phase>(ph);
         obs_ = nullptr;
+        taps_ = nullptr;
+        tap_windows_.clear();
     }
     s.io(measure_records_);
     s.io(done_);
@@ -184,13 +222,14 @@ SingleCoreSystem::checkpoint_warm(Snapshot& s)
 }
 
 RunResult
-SingleCoreSystem::run_measure(std::uint64_t measure_records)
+SingleCoreSystem::run_measure(std::uint64_t measure_records,
+                              MeasureTaps* taps)
 {
     TRIAGE_ASSERT(er_ != nullptr && er_->phase() == EpochRun::Phase::Warm,
                   "run_measure needs a warm system (run_warmup or a "
                   "restoring checkpoint_warm)");
     obs::prof::ProfScope prof("measure");
-    er_->begin_measure(measure_records, obs_);
+    er_->begin_measure(measure_records, obs_, taps);
     while (er_->step_epoch()) {
     }
     RunResult r = er_->finish();

@@ -11,6 +11,7 @@
 #include "cache/hierarchy.hpp"
 #include "obs/observer.hpp"
 #include "sim/cpu.hpp"
+#include "sim/measure_taps.hpp"
 #include "sim/run_stats.hpp"
 #include "sim/snapshot.hpp"
 #include "sim/trace.hpp"
@@ -59,16 +60,20 @@ class EpochRun
 
     /**
      * Start the measurement window (Warm -> Measuring): clear stats,
-     * capture baselines, attach @p obs (may be null).
+     * capture baselines, attach @p obs (may be null). Each window of
+     * @p taps (may be null) gets the result a run of that length
+     * would finish with, emitted as the window completes.
      */
     void begin_measure(std::uint64_t measure_records,
-                       obs::Observability* obs);
+                       obs::Observability* obs,
+                       MeasureTaps* taps = nullptr);
 
     /**
      * Run one epoch unit (the sampler's epoch length when sampling,
      * otherwise the verifier's default), then close the epoch: sample,
-     * run the invariant sweep. @return false once the window is
-     * complete (Measuring -> Done).
+     * run the invariant sweep. A tap window inside the unit splits it
+     * (chunking is behavior-identical). @return false once the window
+     * is complete (Measuring -> Done).
      */
     bool step_epoch();
 
@@ -88,9 +93,22 @@ class EpochRun
   private:
     std::uint64_t epoch_len() const;
 
+    /** The result a window ending at the current record would return:
+     *  finish() and every tap build it here. */
+    RunResult compose() const;
+
+    /**
+     * Collect newly added tap windows, emit those ending here, and
+     * return where the run must stop next (at most @p limit, from which
+     * on later windows are accepted).
+     */
+    std::uint64_t serve_taps(std::uint64_t limit);
+
     cache::MemorySystem& mem_;
     CoreModel& core_;
     obs::Observability* obs_ = nullptr;
+    MeasureTaps* taps_ = nullptr;
+    std::vector<std::uint64_t> tap_windows_; ///< collected, not yet due
     Phase phase_ = Phase::Fresh;
     std::uint64_t measure_records_ = 0;
     std::uint64_t done_ = 0;
@@ -142,8 +160,10 @@ class SingleCoreSystem
     void checkpoint_warm(Snapshot& s);
 
     /** Measure from the warm point (after run_warmup or a restoring
-     *  checkpoint_warm) and return the result. */
-    RunResult run_measure(std::uint64_t measure_records);
+     *  checkpoint_warm) and return the result; shorter windows in
+     *  @p taps get theirs on the way (see MeasureTaps). */
+    RunResult run_measure(std::uint64_t measure_records,
+                          MeasureTaps* taps = nullptr);
 
     cache::MemorySystem& memory() { return mem_; }
     CoreModel& core() { return core_; }

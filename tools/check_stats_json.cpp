@@ -22,7 +22,8 @@
  *     (possibly empty) of well-formed, epoch-monotonic samples;
  *   - with --require-profile: "profile" is the host profiler block
  *     (backend, wall/attributed seconds, a non-empty phase table with
- *     warmup and measure phases, checkpoint counters, worker rows);
+ *     warmup and measure phases, checkpoint and lab.taps counters,
+ *     worker rows);
  *     --min-attributed=F additionally requires attributed_frac >= F
  *     and --expect-backend=NAME pins the counter backend
  *     ("perf_event" or "software");
@@ -381,6 +382,11 @@ check_profile(const Value& root, double min_attributed,
                      " missing or not a finite non-negative number");
         }
     }
+    const Value* taps = root.find_path("profile.counters.lab.taps");
+    if (taps == nullptr || !taps->is_number() ||
+        !std::isfinite(taps->number) || taps->number < 0.0)
+        fail("profile.counters.lab.taps (Lab measure taps served) "
+             "missing or not a finite non-negative number");
 
     const Value* workers = p->get("workers");
     if (workers == nullptr || !workers->is_array() ||

@@ -7,7 +7,9 @@
  * prints the store's hit/miss counters. Run it twice against the same
  * --dir: the first process warms up once and publishes the snapshot
  * (1 miss, 2 in-memory forks), the second process never simulates a
- * warmup at all (1 disk hit, 2 in-memory forks). CI asserts both
+ * warmup at all (1 disk hit, 2 in-memory forks). With --jobs=N > 1 the
+ * longest job hosts the two shorter windows as measure taps, so one
+ * simulation serves the sweep (1 run, 2 taps). CI asserts these
  * profiles with the --expect-* flags.
  */
 #include <cstdint>
@@ -29,6 +31,8 @@ struct Options {
     std::string benchmark = "mcf";
     std::uint64_t warmup = 60000;
     bool fresh = false;
+    unsigned jobs = 1;
+    long expect_runs = -1;
     long expect_mem_hits = -1;
     long expect_disk_hits = -1;
     long expect_misses = -1;
@@ -43,6 +47,8 @@ usage(const char* argv0)
         "  --benchmark=B         benchmark analog (default mcf)\n"
         "  --warmup=N            warmup records (default 60000)\n"
         "  --fresh               wipe DIR before running\n"
+        "  --jobs=N              Lab workers (default 1: serial)\n"
+        "  --expect-runs=N       fail unless N simulations ran\n"
         "  --expect-mem-hits=N   fail unless mem_hits == N\n"
         "  --expect-disk-hits=N  fail unless disk_hits == N\n"
         "  --expect-misses=N     fail unless misses == N\n",
@@ -68,6 +74,10 @@ parse(int argc, char** argv, Options& o)
             o.warmup = std::strtoull(v, nullptr, 10);
         else if (std::strcmp(a, "--fresh") == 0)
             o.fresh = true;
+        else if (const char* v = val(a, "--jobs"))
+            o.jobs = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+        else if (const char* v = val(a, "--expect-runs"))
+            o.expect_runs = std::strtol(v, nullptr, 10);
         else if (const char* v = val(a, "--expect-mem-hits"))
             o.expect_mem_hits = std::strtol(v, nullptr, 10);
         else if (const char* v = val(a, "--expect-disk-hits"))
@@ -115,13 +125,14 @@ main(int argc, char** argv)
     }
 
     exec::LabOptions opt;
-    opt.jobs = 1; // deterministic log order; parallelism is tested elsewhere
+    opt.jobs = o.jobs;
     opt.ckpt_dir = o.dir;
     exec::Lab lab(opt);
 
     // Three jobs sharing one warm prefix (only the window length
-    // differs): the canonical checkpoint-forking sweep shape.
-    for (std::uint64_t measure : {30000ULL, 60000ULL, 90000ULL}) {
+    // differs): the canonical checkpoint-forking sweep shape. Longest
+    // first, so on a parallel Lab it hosts the other two as taps.
+    for (std::uint64_t measure : {90000ULL, 60000ULL, 30000ULL}) {
         exec::Job j;
         j.benchmark = o.benchmark;
         j.pf_spec = "triage_dyn";
@@ -134,13 +145,16 @@ main(int argc, char** argv)
 
     const auto st = lab.checkpoints()->stats();
     std::printf("{\"mem_hits\": %llu, \"disk_hits\": %llu, "
-                "\"misses\": %llu, \"produces\": %llu}\n",
+                "\"misses\": %llu, \"produces\": %llu, \"runs\": %zu, "
+                "\"taps\": %zu}\n",
                 static_cast<unsigned long long>(st.mem_hits),
                 static_cast<unsigned long long>(st.disk_hits),
                 static_cast<unsigned long long>(st.misses),
-                static_cast<unsigned long long>(st.produces));
+                static_cast<unsigned long long>(st.produces),
+                lab.runs_executed(), lab.taps_served());
 
     bool ok = true;
+    ok &= check("runs", o.expect_runs, lab.runs_executed());
     ok &= check("mem_hits", o.expect_mem_hits, st.mem_hits);
     ok &= check("disk_hits", o.expect_disk_hits, st.disk_hits);
     ok &= check("misses", o.expect_misses, st.misses);

@@ -18,7 +18,10 @@
  *            Triage, 4-core mix with MISB);
  *   stream   a trace replayed through the streaming frontend (bounded
  *            memory, plus a gzip leg and a warm-checkpoint fork) vs
- *            the same trace fully loaded in memory.
+ *            the same trace fully loaded in memory;
+ *   tap      a window served as a measure tap of a longer run vs the
+ *            same window forked from a warm checkpoint vs run cold
+ *            (single-core, and a 4-core mix with MISB).
  *
  * Exit status 0 iff every selected pair matches; mismatching fields
  * are printed one per line.
@@ -62,7 +65,7 @@ usage(const char* argv0)
     std::printf(
         "usage: %s [options]\n"
         "  --pair=P        degree0 | mix1 | split | jobs | ckpt | "
-        "stream | all (default all)\n"
+        "stream | tap | all (default all)\n"
         "  --benchmark=B   benchmark analog (default mcf)\n"
         "  --warmup=N      warmup records per run (default 100000)\n"
         "  --measure=N     measured records per run (default 400000)\n"
@@ -379,6 +382,49 @@ pair_stream(const Options& o)
     return ok;
 }
 
+/**
+ * A window served as a measure tap of a longer run must be
+ * bit-identical to the same window forked from the warm checkpoint and
+ * to it run cold, and the tapping run's own result must not move. The
+ * tap window is an awkward fraction of the host's, so it splits an
+ * epoch chunk mid-way on the single-core path.
+ */
+bool
+pair_tap(const Options& o)
+{
+    bool ok = true;
+    auto check = [&](const std::string& name, const exec::Job& host) {
+        exec::Job shorter = host;
+        shorter.scale.measure_records = host.scale.measure_records * 5 / 13;
+        sim::RunResult tapped;
+        sim::MeasureTaps taps(
+            [&](std::uint64_t, sim::RunResult r) { tapped = std::move(r); });
+        taps.add(shorter.scale.measure_records);
+        exec::CheckpointStore store;
+        const sim::RunResult hosted = exec::run_job(host, &store, &taps);
+        const sim::RunResult cold = exec::run_job(shorter);
+        ok &= report("tap-" + name, verify::diff_results(cold, tapped));
+        ok &= report("tap-fork-" + name,
+                     verify::diff_results(cold,
+                                          exec::run_job(shorter, &store)));
+        ok &= report("tap-host-" + name,
+                     verify::diff_results(exec::run_job(host), hosted));
+    };
+
+    exec::Job single = base_job(o);
+    single.pf_spec = "triage_dyn";
+    single.degree = o.degree;
+    check("single", single);
+
+    exec::Job misb = base_job(o);
+    misb.benchmark.clear();
+    misb.mix = {o.benchmark, "omnetpp", "soplex_k", "xalancbmk"};
+    misb.pf_spec = "misb";
+    misb.degree = o.degree;
+    check("misb-mix4", misb);
+    return ok;
+}
+
 } // namespace
 
 int
@@ -401,9 +447,11 @@ main(int argc, char** argv)
         ok &= pair_ckpt(o);
     if (all || o.pair == "stream")
         ok &= pair_stream(o);
+    if (all || o.pair == "tap")
+        ok &= pair_tap(o);
     if (!all && o.pair != "degree0" && o.pair != "mix1" &&
         o.pair != "split" && o.pair != "jobs" && o.pair != "ckpt" &&
-        o.pair != "stream") {
+        o.pair != "stream" && o.pair != "tap") {
         std::fprintf(stderr, "unknown pair: %s\n", o.pair.c_str());
         return 2;
     }
