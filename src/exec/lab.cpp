@@ -149,16 +149,6 @@ Lab::ensure_workers()
 }
 
 void
-Lab::make_host(const std::shared_ptr<Task>& task)
-{
-    Task* host = task.get();
-    host->taps = std::make_unique<sim::MeasureTaps>(
-        [this, host](std::uint64_t records, sim::RunResult r) {
-            deliver(*host, records, std::move(r));
-        });
-}
-
-void
 Lab::deliver(Task& host, std::uint64_t records, sim::RunResult r)
 {
     std::unique_lock<std::mutex> lock(mu_);
@@ -180,9 +170,8 @@ Lab::attach(const std::shared_ptr<Task>& task)
         return false;
     const std::uint64_t window = task->key.measure_records;
     for (const auto& host : it->second) {
-        // add() refuses once the host has passed where a run of this
-        // window would stop; the job then forks from the host's
-        // published warm checkpoint instead.
+        // add() refuses once the host has started measuring; the job
+        // then forks from the host's published warm checkpoint.
         if (host->key.measure_records >= window &&
             host->taps->add(window)) {
             host->tapped.emplace(window, task);
@@ -190,24 +179,6 @@ Lab::attach(const std::shared_ptr<Task>& task)
                             window_label(host->key));
             return true;
         }
-    }
-    for (auto& host : it->second) {
-        if (host->started)
-            continue;
-        // A queued host with a shorter window: run this job in its
-        // place, serving it and everything it had taken on as taps.
-        std::shared_ptr<Task> old = host;
-        make_host(task);
-        task->tapped = std::move(old->tapped);
-        task->tapped.emplace(old->key.measure_records, old);
-        for (const auto& entry : task->tapped)
-            task->taps->add(entry.first);
-        old->taps.reset();
-        *std::find(queue_.begin(), queue_.end(), old) = task;
-        host = task;
-        TRIAGE_LOG_INFO("[tap] ", window_label(old->key), " on ",
-                        window_label(task->key));
-        return true;
     }
     return false;
 }
@@ -247,7 +218,11 @@ Lab::submit(Job job)
     if (ckpt_ != nullptr && memoizable) {
         if (attach(task))
             return id;
-        make_host(task);
+        Task* host = task.get();
+        host->taps = std::make_unique<sim::MeasureTaps>(
+            [this, host](std::uint64_t records, sim::RunResult r) {
+                deliver(*host, records, std::move(r));
+            });
         hosts_[warm_prefix(task->key)].push_back(task);
     }
     queue_.push_back(std::move(task));

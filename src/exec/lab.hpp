@@ -67,9 +67,10 @@ struct LabOptions {
  * serial loop. Not reentrant: do not submit from inside a job.
  *
  * With warm checkpoints on and more than one worker, a job whose
- * fusion key (warm_prefix of its key) matches a queued or running
- * host with a window at least as long rides along as a measure tap
- * of that host instead of running (docs/parallel-runs.md §measure-taps).
+ * fusion key (warm_prefix of its key) matches a host with a window
+ * at least as long that has not started measuring yet rides along as
+ * a measure tap of that host instead of running
+ * (docs/parallel-runs.md §measure-taps).
  */
 class Lab
 {
@@ -172,14 +173,10 @@ class Lab
                  std::unique_lock<std::mutex>& lock);
     void ensure_workers();
 
-    /** Give @p task a tap list whose results land in its tapped jobs. */
-    void make_host(const std::shared_ptr<Task>& task);
-
     /**
-     * Serve @p task from a host with its fusion key: as a tap of one
-     * with a window at least as long that can still stop where
-     * @p task would, or by taking a queued shorter host's place and
-     * serving it. @return false when @p task must run on its own.
+     * Serve @p task as a tap of a host with its fusion key and a
+     * window at least as long that has not started measuring.
+     * @return false when @p task must run on its own.
      */
     bool attach(const std::shared_ptr<Task>& task);
 

@@ -1,25 +1,28 @@
 #include "sim/measure_taps.hpp"
 
+#include <algorithm>
+#include <functional>
+
 namespace triage::sim {
 
 bool
 MeasureTaps::add(std::uint64_t records)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    if (records < frontier_)
+    if (closed_)
         return false;
-    added_.push_back(records);
+    windows_.push_back(records);
     return true;
 }
 
-void
-MeasureTaps::collect(std::uint64_t frontier,
-                     std::vector<std::uint64_t>& out)
+std::vector<std::uint64_t>
+MeasureTaps::close()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    out.insert(out.end(), added_.begin(), added_.end());
-    added_.clear();
-    frontier_ = frontier;
+    closed_ = true;
+    std::sort(windows_.begin(), windows_.end(),
+              std::greater<std::uint64_t>());
+    return std::move(windows_);
 }
 
 void

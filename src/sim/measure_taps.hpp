@@ -12,17 +12,16 @@
  * result. Nothing about the simulation changes: a standalone run of t
  * and the run of L execute the same steps up to that point.
  *
- * Windows may be added from another thread while the run is going.
- * add() accepts a window only while the run can still stop exactly
- * where a standalone run of that window would; the run publishes that
- * bound (its frontier) every time it collects new windows.
+ * Windows may be added from another thread until the run starts its
+ * measurement window, which closes the list: every window is then
+ * known before the first measured record, so the run cannot have
+ * passed any of them.
  */
 #ifndef TRIAGE_SIM_MEASURE_TAPS_HPP
 #define TRIAGE_SIM_MEASURE_TAPS_HPP
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -37,34 +36,28 @@ class MeasureTaps
     /** Receives each tap's result, on the simulating thread. */
     using Sink = std::function<void(std::uint64_t records, RunResult)>;
 
-    /** Frontier of a finished run: no window is accepted any more. */
-    static constexpr std::uint64_t CLOSED =
-        std::numeric_limits<std::uint64_t>::max();
-
     explicit MeasureTaps(Sink sink) : sink_(std::move(sink)) {}
 
     /**
-     * Ask for window @p records (any thread). @return false when the
-     * run has already passed the point where that window would stop;
-     * the caller must then run it on its own.
+     * Ask for window @p records (any thread). @return false once the
+     * run has started measuring; the caller must then run the window
+     * on its own.
      */
     bool add(std::uint64_t records);
 
     // --- Run side: called only by the simulating thread. -------------
 
-    /**
-     * Append the windows added since the last call to @p out, and from
-     * now on accept only windows >= @p frontier.
-     */
-    void collect(std::uint64_t frontier, std::vector<std::uint64_t>& out);
+    /** Refuse further windows and return the added ones, longest
+     *  first. Called once, as the measurement window starts. */
+    std::vector<std::uint64_t> close();
 
     /** Hand @p r to the sink as the result of window @p records. */
     void emit(std::uint64_t records, RunResult r);
 
   private:
     std::mutex mu_;
-    std::uint64_t frontier_ = 0;
-    std::vector<std::uint64_t> added_;
+    bool closed_ = false;
+    std::vector<std::uint64_t> windows_;
     Sink sink_;
 };
 

@@ -233,28 +233,22 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
     // Run until every core finishes its measurement window. Each
     // iteration is one bounded quantum per core, ending where the
     // sampler, the verifier and the taps observe a consistent system.
+    // Tap windows are fixed before the first measured record, so each
+    // core's crossing of one is seen in the iteration where it
+    // happens, as in a run of that length.
     Window own(measure_records, n_cores_);
     std::vector<Window> tapped;
-    std::vector<std::uint64_t> added;
+    if (taps != nullptr) {
+        for (std::uint64_t w : taps->close()) {
+            TRIAGE_ASSERT(w <= measure_records,
+                          "tap window longer than the run");
+            tapped.emplace_back(w, n_cores_);
+        }
+    }
     while (own.remaining > 0) {
         for (unsigned c = 0; c < n_cores_; ++c)
             advance(c, global);
         global += quantum;
-        if (taps != nullptr) {
-            // A window added since the last collect was accepted while
-            // every core was still short of it, so each crossing of it
-            // happened in this iteration, as in a run of that length.
-            std::uint64_t most = 0;
-            for (unsigned c = 0; c < n_cores_; ++c)
-                most = std::max(most, measured(c));
-            taps->collect(most + 1, added);
-            for (std::uint64_t w : added) {
-                TRIAGE_ASSERT(w <= measure_records,
-                              "tap window longer than the run");
-                tapped.emplace_back(w, n_cores_);
-            }
-            added.clear();
-        }
         mark_crossed(own);
         for (std::size_t i = 0; i < tapped.size();) {
             if (mark_crossed(tapped[i])) {
@@ -277,11 +271,8 @@ MultiCoreSystem::run_measure(std::uint64_t measure_records, Cycle quantum,
             }
         }
     }
-    if (taps != nullptr) {
-        taps->collect(MeasureTaps::CLOSED, added);
-        TRIAGE_ASSERT(added.empty() && tapped.empty(),
-                      "tap window left unserved at the end of the run");
-    }
+    TRIAGE_ASSERT(tapped.empty(),
+                  "tap window left unserved at the end of the run");
     if (sampling)
         obs_->sampler.finalize(measure_records);
     if (verifier != nullptr)

@@ -69,10 +69,10 @@ class MultiCoreSystem
     void checkpoint_warm(Snapshot& s);
 
     /**
-     * Phase 2: the measurement window, from the warm point. Every
-     * window of @p taps (may be null; see MeasureTaps) is emitted at
-     * the end of the quantum iteration in which its last core
-     * crosses it.
+     * Phase 2: the measurement window, from the warm point. Closes
+     * @p taps (may be null; see MeasureTaps) and emits each of its
+     * windows at the end of the quantum iteration in which its last
+     * core crosses it.
      */
     RunResult run_measure(std::uint64_t measure_records,
                           Cycle quantum = 1000,

@@ -42,6 +42,11 @@ EpochRun::begin_measure(std::uint64_t measure_records,
     obs_ = obs;
     taps_ = taps;
     tap_windows_.clear();
+    if (taps_ != nullptr)
+        tap_windows_ = taps_->close();
+    TRIAGE_ASSERT(tap_windows_.empty() ||
+                      tap_windows_.front() <= measure_records,
+                  "EpochRun: tap window longer than the run");
     measure_records_ = measure_records;
     done_ = 0;
 
@@ -70,24 +75,12 @@ EpochRun::epoch_len() const
 std::uint64_t
 EpochRun::serve_taps(std::uint64_t limit)
 {
-    if (taps_ == nullptr)
-        return limit;
-    taps_->collect(limit, tap_windows_);
-    std::uint64_t stop = limit;
-    std::size_t keep = 0;
-    for (std::uint64_t w : tap_windows_) {
-        TRIAGE_ASSERT(w >= done_ && w <= measure_records_,
-                      "EpochRun: tap window outside the unmeasured part "
-                      "of the run");
-        if (w == done_) {
-            taps_->emit(w, compose());
-        } else {
-            stop = std::min(stop, w);
-            tap_windows_[keep++] = w;
-        }
+    while (!tap_windows_.empty() && tap_windows_.back() == done_) {
+        taps_->emit(done_, compose());
+        tap_windows_.pop_back();
     }
-    tap_windows_.resize(keep);
-    return stop;
+    return tap_windows_.empty() ? limit
+                                : std::min(limit, tap_windows_.back());
 }
 
 bool
@@ -96,7 +89,9 @@ EpochRun::step_epoch()
     TRIAGE_ASSERT(phase_ == Phase::Measuring,
                   "EpochRun: step_epoch outside the measurement window");
     if (done_ >= measure_records_) {
-        serve_taps(MeasureTaps::CLOSED);
+        serve_taps(done_);
+        TRIAGE_ASSERT(tap_windows_.empty(),
+                      "EpochRun: tap window left unserved");
         phase_ = Phase::Done;
         return false;
     }

@@ -60,9 +60,9 @@ class EpochRun
 
     /**
      * Start the measurement window (Warm -> Measuring): clear stats,
-     * capture baselines, attach @p obs (may be null). Each window of
-     * @p taps (may be null) gets the result a run of that length
-     * would finish with, emitted as the window completes.
+     * capture baselines, attach @p obs (may be null). Closes @p taps
+     * (may be null): each of its windows gets the result a run of
+     * that length would finish with, emitted as the window completes.
      */
     void begin_measure(std::uint64_t measure_records,
                        obs::Observability* obs,
@@ -97,18 +97,15 @@ class EpochRun
      *  finish() and every tap build it here. */
     RunResult compose() const;
 
-    /**
-     * Collect newly added tap windows, emit those ending here, and
-     * return where the run must stop next (at most @p limit, from which
-     * on later windows are accepted).
-     */
+    /** Emit the tap windows ending here and return where the run
+     *  must stop next (at most @p limit). */
     std::uint64_t serve_taps(std::uint64_t limit);
 
     cache::MemorySystem& mem_;
     CoreModel& core_;
     obs::Observability* obs_ = nullptr;
     MeasureTaps* taps_ = nullptr;
-    std::vector<std::uint64_t> tap_windows_; ///< collected, not yet due
+    std::vector<std::uint64_t> tap_windows_; ///< not yet due, longest first
     Phase phase_ = Phase::Fresh;
     std::uint64_t measure_records_ = 0;
     std::uint64_t done_ = 0;

@@ -472,8 +472,9 @@ TEST(Lab, TapsServeAscendingAndDescendingOrders)
             expect_same(lab.result(ids[i]), cold[i]);
     }
     {
-        // Shortest first, queued behind two held workers: each longer
-        // job takes the queued host's place and serves it.
+        // Shortest first, queued behind two held workers: no queued
+        // host has a window as long as the next job's, so each job
+        // runs on its own and forks the shared warm state.
         auto gate = std::make_shared<Gate>(2);
         exec::Lab lab({.jobs = 2});
         lab.submit(gated(bench_job("omnetpp", "none"), gate));
@@ -484,8 +485,8 @@ TEST(Lab, TapsServeAscendingAndDescendingOrders)
             ids.push_back(lab.submit(at_window(job, w)));
         gate->open();
         lab.wait_all();
-        EXPECT_EQ(lab.runs_executed(), 3u);
-        EXPECT_EQ(lab.taps_served(), 2u);
+        EXPECT_EQ(lab.runs_executed(), 5u);
+        EXPECT_EQ(lab.taps_served(), 0u);
         for (std::size_t i = 0; i < windows.size(); ++i)
             expect_same(lab.result(ids[i]), cold[i]);
     }
@@ -493,9 +494,10 @@ TEST(Lab, TapsServeAscendingAndDescendingOrders)
 
 TEST(Lab, LateSiblingForksInsteadOfTapping)
 {
-    // The host stops inside its measurement window, past the sibling's
-    // window, until the sibling is submitted: too late to tap, so it
-    // forks from the host's published warm checkpoint.
+    // The host stops inside its measurement window, short of the
+    // sibling's window, until the sibling is submitted: the host has
+    // closed its taps, so the sibling forks from the host's published
+    // warm checkpoint.
     const stats::RunScale scale = tiny_scale();
     auto gate = std::make_shared<Gate>(1);
     exec::Job host;
@@ -503,7 +505,7 @@ TEST(Lab, LateSiblingForksInsteadOfTapping)
     host.workload_factory = [gate, scale] {
         return std::make_unique<GatedWorkload>(
             workloads::make_benchmark("mcf", scale.workload_scale), gate,
-            scale.warmup_records + 12000);
+            scale.warmup_records + 3000);
     };
     host.pf_spec = "triage_dyn";
     host.scale = scale;

@@ -16,11 +16,13 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <string>
 #include <vector>
 
 #include "exec/checkpoint.hpp"
 #include "exec/lab.hpp"
+#include "stats/experiment.hpp"
 
 namespace {
 
@@ -131,7 +133,13 @@ main(int argc, char** argv)
 
     // Three jobs sharing one warm prefix (only the window length
     // differs): the canonical checkpoint-forking sweep shape. Longest
-    // first, so on a parallel Lab it hosts the other two as taps.
+    // first, so on a parallel Lab it hosts the other two as taps. A
+    // host accepts taps only until it starts measuring, so there its
+    // prefetcher factory holds it until the whole sweep is submitted
+    // (the factory needs a variant tag standing in for pf_spec).
+    std::promise<void> submitted;
+    const std::shared_future<void> all_submitted =
+        submitted.get_future().share();
     for (std::uint64_t measure : {90000ULL, 60000ULL, 30000ULL}) {
         exec::Job j;
         j.benchmark = o.benchmark;
@@ -139,8 +147,16 @@ main(int argc, char** argv)
         j.degree = 4;
         j.scale.warmup_records = o.warmup;
         j.scale.measure_records = measure;
+        if (o.jobs > 1) {
+            j.variant = "held:triage_dyn";
+            j.prefetcher_factory = [all_submitted](unsigned) {
+                all_submitted.wait();
+                return stats::make_prefetcher("triage_dyn", 4);
+            };
+        }
         lab.submit(std::move(j));
     }
+    submitted.set_value();
     lab.wait_all();
 
     const auto st = lab.checkpoints()->stats();
