@@ -9,6 +9,7 @@
 #include "frontend/frontend.hpp"
 #include "obs/profile.hpp"
 #include "sim/multicore.hpp"
+#include "sim/read_ahead.hpp"
 #include "sim/system.hpp"
 #include "util/log.hpp"
 #include "workloads/spec.hpp"
@@ -256,6 +257,12 @@ run_job(const Job& job, CheckpointStore* ckpt, sim::MeasureTaps* taps)
     if (wl == nullptr)
         util::fatal("exec::Job workload failed to open ('" +
                     key.workload + "')");
+    // Records are generated and decoded on a producer thread ahead of
+    // the core; the job reads exactly warmup + measure of them. Mix
+    // cores stay inline: a Lab of mixes already fills the host.
+    wl = std::make_unique<sim::ReadAheadWorkload>(
+        std::move(wl),
+        job.scale.warmup_records + job.scale.measure_records);
     wl->reset();
     sys.bind(*wl);
     warm_with_checkpoint(

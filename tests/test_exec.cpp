@@ -17,6 +17,7 @@
 
 #include "exec/lab.hpp"
 #include "obs/observer.hpp"
+#include "sim/read_ahead.hpp"
 #include "stats/experiment.hpp"
 #include "stats/metrics.hpp"
 #include "triage/triage.hpp"
@@ -497,19 +498,25 @@ TEST(Lab, LateSiblingForksInsteadOfTapping)
     // The host stops inside its measurement window, short of the
     // sibling's window, until the sibling is submitted: the host has
     // closed its taps, so the sibling forks from the host's published
-    // warm checkpoint.
-    const stats::RunScale scale = tiny_scale();
+    // warm checkpoint. The host's records are produced up to a
+    // read-ahead ring ahead of the simulation (sim/read_ahead.hpp), so
+    // the gate sits a ring past the measured record 3000 and the
+    // sibling's window lies beyond the gate.
+    stats::RunScale scale = tiny_scale();
+    scale.measure_records = 30000;
+    const std::uint64_t ring = sim::ReadAheadWorkload::kBlocks *
+                               sim::ReadAheadWorkload::kBlockRecords;
     auto gate = std::make_shared<Gate>(1);
     exec::Job host;
     host.variant = "gated:mcf";
-    host.workload_factory = [gate, scale] {
+    host.workload_factory = [gate, scale, ring] {
         return std::make_unique<GatedWorkload>(
             workloads::make_benchmark("mcf", scale.workload_scale), gate,
-            scale.warmup_records + 3000);
+            scale.warmup_records + 3000 + ring);
     };
     host.pf_spec = "triage_dyn";
     host.scale = scale;
-    const exec::Job sibling = at_window(host, 6000);
+    const exec::Job sibling = at_window(host, 3000 + ring + 5000);
 
     exec::Lab lab({.jobs = 2});
     auto host_id = lab.submit(host);
